@@ -115,8 +115,9 @@ class _RoundRecord:
     counters: Tuple[int, ...]
     peak_gpu_bytes: int
     #: :meth:`ModelPlacement.replay_residency_state` taken after the round
-    #: (``()`` for placements with no residency-style maps).
-    residency_state: tuple = ()
+    #: (``()`` for placements with no residency-style maps), filled in by
+    #: :meth:`_RoundReplay.observe`; ``None`` marks a chain anchor.
+    residency_state: Optional[tuple] = None
 
 
 def _quad_coeffs(v0: float, v1: float, v2: float) -> Tuple[float, float, float]:
@@ -215,10 +216,24 @@ class _RoundReplay:
         self.history.clear()
 
     def observe(self, record: _RoundRecord) -> None:
-        """Chain a freshly executed eligible round into the history."""
-        if self.history and not self._same_shape(self.history[-1], record):
-            self.history.clear()
-        self.history.append(record)
+        """Chain a freshly executed eligible round into the history.
+
+        The residency snapshot is the costly part of a record, so it is
+        taken only for rounds that can chain.  With maps in play, a round
+        whose shape breaks the chain is kept as a snapshot-less *anchor*;
+        the next round that matches it takes the snapshot and starts the
+        history.  A round with no predecessor snapshots immediately.
+        """
+        history = self.history
+        anchor = False
+        if history and not self._same_shape(history[-1], record):
+            history.clear()
+            anchor = self._has_maps
+        elif history and history[-1].residency_state is None:
+            history.clear()
+        if not anchor:
+            record.residency_state = self.placement.replay_residency_state()
+        history.append(record)
         if self.cooldown:
             self.cooldown -= 1
 
@@ -1097,8 +1112,7 @@ class ContinuousBatchingScheduler:
             lane_free_before=lane_free_before,
             snapshot=timeline.replay_snapshot(),
             counters=self.placement.replay_counters(),
-            peak_gpu_bytes=self.placement.peak_gpu_bytes,
-            residency_state=self.placement.replay_residency_state()))
+            peak_gpu_bytes=self.placement.peak_gpu_bytes))
 
     def _pass_fetches(self, batch: OpBatch, starts: np.ndarray,
                       ends: np.ndarray, bounds: Tuple[int, int, int, int],

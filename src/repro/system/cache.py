@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 ExpertKey = Tuple[int, int]  # (moe_block_index, expert_id)
+#: Predicate marking keys a victim walk must pass over (pinned entries).
+SkipFn = Callable[[ExpertKey], bool]
 
 
 @dataclass
@@ -49,8 +51,14 @@ class EvictionPolicy:
     def on_evict(self, key: ExpertKey) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:  # pragma: no cover
-        raise NotImplementedError
+    def choose_victim(self, skip: Optional[SkipFn] = None) -> Optional[ExpertKey]:
+        """First key in this policy's eviction order that ``skip`` does not
+        exclude, or ``None`` when every tracked key is excluded.
+
+        The walk is over the policy's own bookkeeping, so the caller never
+        builds a candidate list: the policy tracks exactly the resident set.
+        """
+        raise NotImplementedError  # pragma: no cover - interface
 
     # -- round-replay protocol ------------------------------------------
     # Steady-state round replay skips scheduling rounds analytically, so a
@@ -81,23 +89,23 @@ class LIFOPolicy(EvictionPolicy):
     name = "lifo"
 
     def __init__(self) -> None:
-        self._stack: List[ExpertKey] = []
+        # Insertion-ordered dict as a stack: O(1) push and O(1) removal.
+        self._stack: Dict[ExpertKey, None] = {}
 
     def on_insert(self, key: ExpertKey) -> None:
-        self._stack.append(key)
+        self._stack[key] = None
 
     def on_access(self, key: ExpertKey) -> None:
         pass  # insertion order alone decides eviction
 
     def on_evict(self, key: ExpertKey) -> None:
-        if key in self._stack:
-            self._stack.remove(key)
+        self._stack.pop(key, None)
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:
+    def choose_victim(self, skip: Optional[SkipFn] = None) -> Optional[ExpertKey]:
         for key in reversed(self._stack):
-            if key in keys:
+            if skip is None or not skip(key):
                 return key
-        return keys[-1]
+        return None
 
     def replay_state(self) -> Tuple:
         return tuple(self._stack)
@@ -122,11 +130,11 @@ class LRUPolicy(EvictionPolicy):
     def on_evict(self, key: ExpertKey) -> None:
         self._order.pop(key, None)
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:
+    def choose_victim(self, skip: Optional[SkipFn] = None) -> Optional[ExpertKey]:
         for key in self._order:
-            if key in keys:
+            if skip is None or not skip(key):
                 return key
-        return keys[0]
+        return None
 
     def replay_state(self) -> Tuple:
         return tuple(self._order)
@@ -149,8 +157,12 @@ class LFUPolicy(EvictionPolicy):
     def on_evict(self, key: ExpertKey) -> None:
         self._counts.pop(key, None)
 
-    def choose_victim(self, keys: List[ExpertKey]) -> ExpertKey:
-        return min(keys, key=lambda k: self._counts.get(k, 0))
+    def choose_victim(self, skip: Optional[SkipFn] = None) -> Optional[ExpertKey]:
+        # ``min`` keeps the first of equal counts, so ties break in
+        # insertion order (the owner's resident-map order).
+        counts = self._counts
+        keys = counts if skip is None else (k for k in counts if not skip(k))
+        return min(keys, key=counts.__getitem__, default=None)
 
     def replay_state(self) -> Tuple:
         return tuple(sorted(self._counts.items()))
@@ -247,7 +259,7 @@ class ExpertCache:
             self.policy.on_access(key)
             return None
         if len(self._resident) >= self.capacity:
-            victim = self.policy.choose_victim(list(self._resident.keys()))
+            victim = self.policy.choose_victim()
             del self._resident[victim]
             self.policy.on_evict(victim)
             self.stats.evictions += 1

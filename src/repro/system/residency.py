@@ -164,6 +164,10 @@ class ExpertResidency:
         self.category = category
         self.stats = ResidencyStats(source_tier=source_tier)
         self._entries: Dict[ExpertKey, _ResidentEntry] = {}
+        #: Number of unpinned entries, kept in step by pin/release/drop.
+        self._retained = 0
+        #: Resident expert ids per block, in insertion order.
+        self._by_block: Dict[int, Dict[int, None]] = {}
         self._seq = 0
         #: Bumped on every insert and drop — round replay uses it to
         #: invalidate signature memos that folded in residency outcomes.
@@ -190,16 +194,16 @@ class ExpertResidency:
 
     def resident_for_block(self, block_index: int) -> List[int]:
         """Expert ids of ``block_index`` currently resident (pinned or retained)."""
-        return [e for (b, e) in self._entries if b == block_index]
+        return list(self._by_block.get(block_index, ()))
 
     @property
     def retained_count(self) -> int:
         """Number of unpinned entries kept warm (bounded by ``capacity``)."""
-        return sum(1 for entry in self._entries.values() if entry.pins == 0)
+        return self._retained
 
     @property
     def pinned_count(self) -> int:
-        return sum(1 for entry in self._entries.values() if entry.pins > 0)
+        return len(self._entries) - self._retained
 
     @property
     def resident_bytes(self) -> int:
@@ -218,6 +222,8 @@ class ExpertResidency:
         """
         entry = self._entries.get(key)
         if entry is not None:
+            if entry.pins == 0:
+                self._retained -= 1
             entry.pins += 1
             self.policy.on_access(key)
             self.stats.hits += 1
@@ -230,6 +236,7 @@ class ExpertResidency:
         self.pool.allocate(tag, self.expert_bytes, category=self.category,
                            allow_oversubscribe=self.allow_oversubscription)
         self._entries[key] = _ResidentEntry(key=key, tag=tag, pins=1)
+        self._by_block.setdefault(key[0], {})[key[1]] = None
         self.policy.on_insert(key)
         self.stats.misses += 1
         self.stats.bytes_transferred += self.expert_bytes
@@ -253,12 +260,12 @@ class ExpertResidency:
         entry.pins -= 1
         if entry.pins > 0:
             return
+        self._retained += 1
         if self.capacity <= 0:
             self._drop(key, count_eviction=False)
             return
-        while self.retained_count > self.capacity:
-            if not self._evict_one():  # pragma: no cover - defensive
-                break
+        while self._retained > self.capacity:
+            self._evict_one()
 
     def evict_unpinned(self) -> int:
         """Drop every retained entry (cold-start a warm cache); returns count."""
@@ -325,19 +332,21 @@ class ExpertResidency:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _evictable(self) -> List[ExpertKey]:
-        return [k for k, entry in self._entries.items() if entry.pins == 0]
+    def _is_pinned(self, key: ExpertKey) -> bool:
+        return self._entries[key].pins > 0
 
     def _evict_one(self) -> bool:
-        candidates = self._evictable()
-        if not candidates:
+        if not self._retained:
             return False
-        victim = self.policy.choose_victim(candidates)
+        victim = self.policy.choose_victim(self._is_pinned)
         self._drop(victim, count_eviction=True)
         return True
 
     def _drop(self, key: ExpertKey, count_eviction: bool) -> None:
+        """Free an unpinned entry (callers only ever drop unpinned ones)."""
         entry = self._entries.pop(key)
+        self._retained -= 1
+        del self._by_block[key[0]][key[1]]
         self.epoch += 1
         self.policy.on_evict(key)
         if self.pool.has(entry.tag):

@@ -30,7 +30,7 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import make_scheduler
-from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.serving.scheduler import ContinuousBatchingScheduler, _RoundReplay
 from repro.system import SSD_SYSTEM
 from repro.workloads import TimedRequest, TraceGenerator
 
@@ -207,6 +207,43 @@ class TestReplayEngagement:
         replayed = scheduler.serve(requests)
         assert replayed.replay_windows > 0, name
         assert replayed.replay_ops > replayed.timeline_total_ops / 4, name
+
+    def test_churn_snapshots_only_rounds_that_chain(self, monkeypatch):
+        """The residency snapshot is skipped for rounds that break the chain.
+
+        Under churn almost every eligible round differs in shape from its
+        predecessor, so it can never join a window; only rounds that chain
+        onto a predecessor (or start a fresh history) may pay for
+        ``replay_residency_state``.
+        """
+        design, kwargs, _, skew = SCENARIOS["pregated_cached_churn"]
+        scheduler = make_scheduler(design, CONFIG, max_batch_size=2,
+                                   timeline_engine="array", round_replay=True,
+                                   **kwargs)
+        placement = scheduler.placement
+        counts = {"snapshots": 0, "eligible": 0, "chainable": 0}
+        snapshot = placement.replay_residency_state
+
+        def counting_snapshot():
+            counts["snapshots"] += 1
+            return snapshot()
+
+        observe = _RoundReplay.observe
+
+        def counting_observe(replay, record):
+            counts["eligible"] += 1
+            history = replay.history
+            if not history or replay._same_shape(history[-1], record):
+                counts["chainable"] += 1
+            observe(replay, record)
+
+        monkeypatch.setattr(placement, "replay_residency_state",
+                            counting_snapshot)
+        monkeypatch.setattr(_RoundReplay, "observe", counting_observe)
+        result = scheduler.serve(steady_requests(skew=skew))
+        assert result.replay_windows == 0
+        assert counts["snapshots"] <= counts["chainable"]
+        assert counts["snapshots"] * 10 < counts["eligible"], counts
 
     def test_trace_recording_disables_replay(self):
         requests = steady_requests(n=2, out=24)

@@ -85,6 +85,16 @@ class TestMemoryPool:
         pool.reset_peak()
         assert pool.peak == 0
 
+    def test_reset_peak_keeps_live_category_bytes(self):
+        pool = MemoryPool("gpu", 100)
+        pool.allocate("a", 80, category="experts")
+        pool.reset_peak()
+        assert pool.category_peak("experts") == 80
+        pool.free("a")
+        assert pool.category_peak("experts") == 80
+        pool.reset_peak()
+        assert pool.category_peak("experts") == 0
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             MemoryPool("gpu", 0)

@@ -1,12 +1,30 @@
 """Tests for the ``python -m repro`` sweep CLI."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 
 import pytest
 
 from repro.cli import SWEEPS, main
+
+
+@pytest.fixture(scope="module")
+def simperf_quick(tmp_path_factory):
+    """One ``simperf --quick`` run from an empty directory, shared by the
+    tests that read its report: ``(exit code, stdout, run directory)``."""
+    run_dir = tmp_path_factory.mktemp("simperf_quick")
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["simperf", "--quick"])
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), run_dir
 
 
 class TestCli:
@@ -49,17 +67,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["serving_load", "--quick", "--workers", "0"])
 
-    def test_simperf_quick_smokes_without_writing_json(self, tmp_path,
-                                                       monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["simperf", "--quick"]) == 0
-        out = capsys.readouterr().out
+    def test_simperf_quick_smokes_without_writing_json(self, simperf_quick):
+        code, out, run_dir = simperf_quick
+        assert code == 0
         assert "peak resident ops" in out
         for mode in ("no_trace", "kernel", "kernel_replay"):
             assert mode in out
         # Only --full (the recorded scaling ladder) writes the artifact —
         # a smoke shape must never overwrite the committed trajectory.
-        assert not os.path.exists(tmp_path / "BENCH_simperf.json")
+        assert not os.path.exists(run_dir / "BENCH_simperf.json")
 
     def test_simperf_rejects_workers_and_full_needs_simperf(self):
         with pytest.raises(SystemExit):
@@ -181,9 +197,7 @@ class TestMetricsOut:
 
 
 class TestSimperfProbedMode:
-    def test_quick_run_measures_probed_mode(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["simperf", "--quick"]) == 0
-        out = capsys.readouterr().out
+    def test_quick_run_measures_probed_mode(self, simperf_quick):
+        code, out, _ = simperf_quick
+        assert code == 0
         assert "no_trace_probed" in out
