@@ -92,7 +92,7 @@ LOAD_REPORT_COLUMNS = [
     "p50_tbt_ms", "p99_tbt_ms", "mean_queueing_ms", "peak_gpu_gb",
     "cache_hit_rate", "cache_evictions", "gb_transferred", "gb_saved",
     "offload_tier", "ssd_gb_read", "stage_hit_rate",
-    "device_util", "alltoall_mb", "shard_imbalance",
+    "device_util", "alltoall_mb", "shard_imbalance", "mean_round_batch",
     "replay_windows", "replay_rounds", "replay_ops",
     "probe_samples", "max_queue_depth",
 ]

@@ -163,7 +163,8 @@ def run_trace(quick: bool, out: str = TRACE_JSON, seed: int = 0,
                        metadata={"design": scheduler.design,
                                  "config": config.name,
                                  "system": SSD_SYSTEM.name,
-                                 "num_gpus": 2, "seed": seed})
+                                 "num_gpus": 2, "seed": seed,
+                                 "mean_round_batch": result.mean_round_batch})
     if metrics_out:
         rows: List[Dict[str, object]] = []
         append_metrics_rows(rows, result.probes, {"design": scheduler.design})

@@ -10,11 +10,11 @@ The trees are assembled *cheaply in no-trace mode*: the scheduler already
 knows each pass's first/last op indices and the committed start/end arrays
 of every round (:meth:`ArrayTimeline.commit_batch` returns them), so span
 construction reads a handful of floats per pass out of data that exists
-anyway — no op objects, no name strings, no trace retention.  The cost is
-that span recording works only with the array timeline engine (the scalar
-path never materialises per-round columns) and stands down round replay
-(a fast-forwarded window has no per-round spans to record) — both enforced
-by the scheduler's knob validation.
+anyway — no op objects, no name strings, no trace retention.  A round's
+pass is shared by every request it batches: each member records the same
+pass bounds and the same fetches, with ``round_batch`` saying how many
+requests shared it.  The cost is that span recording stands down round
+replay: a fast-forwarded window has no per-round spans to record.
 
 Spans are plain data: :class:`Span` rows in a flat list with parent
 indices (index 0 is the root), collected per request into
@@ -95,7 +95,7 @@ class _RequestBuilder:
     def __init__(self, request_id: int, arrival_time: float) -> None:
         self.request_id = request_id
         self.arrival_time = arrival_time
-        # (kind, iteration, start, end, fetches)
+        # (kind, iteration, start, end, fetches, batch)
         self.passes: List[tuple] = []
 
 
@@ -116,9 +116,10 @@ class SpanLog:
 
     def record_pass(self, request_id: int, kind: str, iteration: int,
                     start: float, end: float,
-                    fetches: List[PassFetch]) -> None:
+                    fetches: List[PassFetch], batch: int = 1) -> None:
+        """Record one pass of the request; ``batch`` requests shared it."""
         self._open[request_id].passes.append(
-            (kind, iteration, start, end, fetches))
+            (kind, iteration, start, end, fetches, batch))
 
     def finalise(self, request_id: int, completion_time: float) -> RequestSpans:
         builder = self._open.pop(request_id)
@@ -136,12 +137,13 @@ class SpanLog:
                               start=builder.arrival_time,
                               end=max(builder.arrival_time, first_start),
                               parent=0))
-        for kind, iteration, start, pass_end, fetches in builder.passes:
+        for kind, iteration, start, pass_end, fetches, batch in builder.passes:
             name = "prefill" if kind == CAT_PREFILL else f"decode[{iteration}]"
             pass_index = len(spans)
             spans.append(Span(name=name, category=kind, start=start,
                               end=pass_end, parent=0,
-                              attrs={"iteration": iteration}))
+                              attrs={"iteration": iteration,
+                                     "round_batch": batch}))
             for fetch in fetches:
                 attrs: Dict[str, object] = {"device": fetch.device,
                                             "bytes": fetch.num_bytes}

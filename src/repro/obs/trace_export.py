@@ -18,7 +18,9 @@ timestamps in microseconds):
   request) thread a request's journey through its ops across lanes and
   devices — Perfetto draws them as arrows.  Flows are anchored at the
   request's first op and every ``lm_head`` (token-completion) op, parsed
-  from the ``r<id>.`` op-name prefix the scheduler writes in trace mode;
+  from the ``r<id>.`` op-name prefix the scheduler writes in trace mode
+  (``r<id>+r<id>.`` for a pass shared by a batched round, which threads
+  every member's flow);
 * request span trees (:mod:`repro.obs.spans`) render as one additional
   process (``pid`` = :data:`SPAN_PID`) with one track per request, each
   span a nested ``X`` event carrying its attributes.
@@ -43,7 +45,9 @@ STREAM_TIDS: Dict[str, int] = {"compute": 0, "copy": 1, "stage": 2,
 #: small ids; anything clear of plausible device counts works).
 SPAN_PID = 1000
 
-_REQUEST_PREFIX = re.compile(r"^r(\d+)\.")
+#: Op-name prefix naming the request(s) an op serves: ``r3.`` for a
+#: one-request pass, ``r3+r5.`` for a pass shared by a batched round.
+_REQUEST_PREFIX = re.compile(r"^(r\d+(?:\+r\d+)*)\.")
 _SECONDS_TO_US = 1e6
 
 
@@ -96,7 +100,8 @@ def timeline_trace_events(timeline) -> List[dict]:
         })
         match = _REQUEST_PREFIX.match(rec["name"] or "")
         if match:
-            by_request.setdefault(int(match.group(1)), []).append(rec)
+            for request in match.group(1).split("+"):
+                by_request.setdefault(int(request[1:]), []).append(rec)
     events.extend(_request_flow_events(by_request))
     return events
 

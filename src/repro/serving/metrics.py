@@ -302,6 +302,11 @@ class LoadTestResult:
     replay_windows: int = 0
     replay_rounds: int = 0
     replay_ops: int = 0
+    #: Rounds that ran a decoder pass (executed or fast-forwarded) and the
+    #: decoding requests they batched in total; see :attr:`mean_round_batch`.
+    #: Summed across a merged fleet.
+    decode_rounds: int = 0
+    decode_round_members: int = 0
     #: Sampled time-series probes (queue depth, utilisation, residency …)
     #: when the scheduler served with ``probe_interval`` set; ``None``
     #: otherwise.  Merged across replicas by
@@ -350,6 +355,18 @@ class LoadTestResult:
     @property
     def e2e_stats(self) -> LatencyStats:
         return LatencyStats.from_values([r.e2e_latency for r in self.requests])
+
+    @property
+    def mean_round_batch(self) -> float:
+        """Decoding requests per round that ran a decoder pass.
+
+        Each such round shares one decoder pass among its decoding members,
+        so this says whether continuous batching engaged: 1.0 means every
+        token was decoded alone.  0.0 when no round decoded.
+        """
+        if self.decode_rounds == 0:
+            return 0.0
+        return self.decode_round_members / self.decode_rounds
 
     @property
     def cache_hit_rate(self) -> Optional[float]:
@@ -422,6 +439,7 @@ class LoadTestResult:
             "alltoall_mb": (self.alltoall_bytes / 1e6
                             if self.num_gpus != 1 else None),
             "shard_imbalance": self.shard_imbalance,
+            "mean_round_batch": self.mean_round_batch,
             "replay_windows": self.replay_windows,
             "replay_rounds": self.replay_rounds,
             "replay_ops": self.replay_ops,
@@ -485,6 +503,8 @@ def merge_load_results(results: Sequence[LoadTestResult],
         replay_windows=sum(r.replay_windows for r in results),
         replay_rounds=sum(r.replay_rounds for r in results),
         replay_ops=sum(r.replay_ops for r in results),
+        decode_rounds=sum(r.decode_rounds for r in results),
+        decode_round_members=sum(r.decode_round_members for r in results),
         probes=merge_metrics([r.probes for r in results]),
         oom=any(r.oom for r in results),
         oom_reason="; ".join(r.oom_reason for r in results if r.oom_reason),

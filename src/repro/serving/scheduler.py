@@ -11,10 +11,12 @@ the style of Orca's continuous batching:
   its encoder (prefill) pass the first time, one decoder iteration after —
   so a newly arrived request starts decoding without waiting for older
   requests to finish;
-* within a round, expert transfers are deduplicated across requests via
-  :class:`~repro.serving.simulator.SharedExpertRound`: concurrent requests
-  that activate the same expert of the same block share a single CPU→GPU
-  migration;
+* a round is iteration-level batched: every decoding request shares one
+  decoder pass and every prefilling request shares one encoder pass.  A
+  shared pass runs each non-MoE, gate and LM-head op once over the summed
+  query tokens, and each MoE block fetches and executes the union of its
+  members' active experts once — concurrent requests that activate the
+  same expert of the same block share a single CPU→GPU migration;
 * with a cache enabled (``cache_policy``/``cache_capacity``), rounds run on
   the shared refcounted :class:`~repro.system.residency.ExpertResidency`
   map through a :class:`~repro.serving.prefetch.CrossRequestPrefetcher`:
@@ -23,15 +25,13 @@ the style of Orca's continuous batching:
   link entirely.
 
 The scheduler is built from the same placement + per-iteration-simulation
-layers as the engine, so a one-request workload reproduces the engine's
+layers as the engine, and a one-member pass reduces exactly to the
+unbatched pass, so a one-request workload reproduces the engine's
 ``run_request`` timeline *exactly* — the backward-compatibility contract the
-tests pin down to 1e-9.
-
-Modelling note: rounds time-multiplex the GPU at decoder-iteration
-granularity (the paper's systems are optimised for per-request batch size 1,
-so per-kernel batching across requests is not modelled; what continuous
-batching buys here is pipelining of arrivals, shared expert migrations and
-honest queueing behaviour under load).
+tests pin down to 1e-9.  Batched passes are costed by the roofline model
+over the whole batch (see DESIGN.md, "Batched rounds"): memory-bound decode
+ops are nearly free to batch, so throughput under load grows with the
+batch until the union of active experts dominates.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from .metrics import LoadTestResult, ServedRequestResult
 from .placement import ModelPlacement
 from .prefetch import CrossRequestPrefetcher
 from .simulator import (CAT_EXPERT_TRANSFER, CAT_STAGE_IN, EmittedPass,
-                        IterationSimulator, SharedExpertRound)
+                        IterationSimulator, PassMember, SharedExpertRound,
+                        union_activations)
 
 
 @dataclass
@@ -93,8 +94,11 @@ class _InFlightRequest:
 class _RoundRecord:
     """Everything round replay needs about one executed decode round.
 
-    Captured by the batched round path when the round is replay-eligible
-    (decode-only, no carried cross-pass deps, no cache/stage state).  The
+    Captured by the round runner when the round is replay-eligible
+    (decode-only, no carried cross-pass deps).  The round is one decoder
+    pass shared by every member, so each member's first/last index points
+    into that pass.  Cache and stage state, when the placement has any, is
+    captured separately in :attr:`residency_state`.  The
     :class:`~repro.system.timeline.OpBatch` is kept by reference — its
     columns are the round's structural template.
     """
@@ -105,7 +109,7 @@ class _RoundRecord:
     batch: OpBatch
     starts: np.ndarray
     ends: np.ndarray
-    #: Per-state (first op, last op) batch indices of the request's pass.
+    #: Per-state (first op, last op) batch indices of the shared pass.
     first_index: Tuple[int, ...]
     last_index: Tuple[int, ...]
     lane_free_before: Dict[Tuple[Stream, int], float]
@@ -449,17 +453,17 @@ class _RoundReplay:
         landing round against the real model; binary-search the boundary if
         it moved.
         """
-        last = records[-1]
+        first = records[-1].first_index[0]
+        recorded = records[-1].batch.duration[first]
+        pass_member = self.scheduler._pass_member
 
         def model_ok(m: int) -> bool:
-            for state, first in zip(active, last.first_index):
-                predicted = last.batch.duration[first] + m * diff[first]
-                actual = self.simulator._nonmoe_duration(
-                    "decoder", 1, state.next_decode + m,
-                    state.trace.input_length)
-                if abs(actual - predicted) > 1e-15 + 1e-12 * abs(actual):
-                    return False
-            return True
+            # The round m ahead decodes step next_decode - 1 + m.
+            predicted = recorded + m * diff[first]
+            actual = self.simulator.pass_nonmoe_duration(
+                "decoder", [pass_member(state, state.next_decode - 1 + m)
+                            for state in active])
+            return abs(actual - predicted) <= 1e-15 + 1e-12 * abs(actual)
 
         if model_ok(n):
             return n
@@ -718,13 +722,13 @@ class ContinuousBatchingScheduler:
         rendering / ``to_records`` export).  Every reported load metric is
         identical in both modes — the parity tests pin them to 1e-9.
     timeline_engine:
-        ``"array"`` (default) runs rounds through the batched columnar
-        timeline kernel (:class:`~repro.system.timeline.ArrayTimeline`):
-        each round's ops are emitted as one
-        :class:`~repro.system.timeline.OpBatch` and scheduled with
-        vectorised aggregate folds.  ``"scalar"`` keeps the op-at-a-time
-        reference path.  Both produce bit-identical schedules — the parity
-        tests pin every metric across engines.
+        Each round's ops are emitted as one
+        :class:`~repro.system.timeline.OpBatch`.  ``"array"`` (default)
+        commits it through the columnar kernel
+        (:class:`~repro.system.timeline.ArrayTimeline`) with vectorised
+        aggregate folds; ``"scalar"`` commits it op by op, the reference
+        engine.  Both produce bit-identical schedules — the parity tests pin
+        every metric across engines.
     round_replay:
         With the array engine in no-trace mode on cache-free, stage-free
         placements, detect steady-state decode rounds and fast-forward them
@@ -746,8 +750,8 @@ class ContinuousBatchingScheduler:
         Record a per-request span tree (queue → prefill → decode
         iterations → expert fetches with source-tier and stage hit/miss
         attribution) on ``result.spans``.  Assembled from each round's
-        committed op columns, so it works in no-trace mode; requires the
-        array timeline engine and stands down round replay.
+        committed op columns, so it works in no-trace mode and on either
+        timeline engine; stands down round replay.
     """
 
     def __init__(self, design: str, config: "ModelConfig | str",
@@ -780,11 +784,6 @@ class ContinuousBatchingScheduler:
         if probe_interval is not None and probe_interval <= 0:
             raise ValueError(
                 f"probe_interval must be > 0 (or None), got {probe_interval}")
-        if span_log and timeline_engine != "array":
-            raise ValueError(
-                "span_log needs the array timeline engine: spans are "
-                "assembled from each round's committed op columns, which "
-                "the scalar path never materialises")
         if cache is not None:
             if cache_policy is not None or cache_capacity is not None:
                 raise ValueError(
@@ -897,6 +896,7 @@ class ContinuousBatchingScheduler:
             self.placement.route_log = []
         pending = deque(sorted(timed, key=lambda r: (r.arrival_time, r.request_id)))
         active: List[_InFlightRequest] = []
+        decode_rounds = decode_members = 0
 
         try:
             while pending or active:
@@ -915,13 +915,20 @@ class ContinuousBatchingScheduler:
                                     admitted.timed.arrival_time)
 
                 ops_before = timeline.num_ops if probes is not None else 0
+                replayed_before = replay.rounds if replay is not None else 0
                 replayed = (replay is not None and replay.ready()
                             and replay.try_apply(timeline, active, pending))
-                if not replayed:
-                    if batched:
-                        self._run_round_batched(timeline, active, replay, spans)
-                    else:
-                        self._run_round(timeline, active)
+                if replayed:
+                    # Every fast-forwarded round decoded the whole batch.
+                    skipped = replay.rounds - replayed_before
+                    decode_rounds += skipped
+                    decode_members += skipped * len(active)
+                else:
+                    decoded = self._run_round_batched(timeline, active,
+                                                      replay, spans)
+                    if decoded:
+                        decode_rounds += 1
+                        decode_members += decoded
                     if probes is not None:
                         probes.observe_round(timeline.num_ops - ops_before)
                 # One-pass rebuild of the in-flight list; removing finished
@@ -977,6 +984,8 @@ class ContinuousBatchingScheduler:
             for d in range(self.placement.num_devices)]
         result.shard_imbalance = self.placement.fetch_imbalance(
             since=fetch_bytes_before)
+        result.decode_rounds = decode_rounds
+        result.decode_round_members = decode_members
         if replay is not None:
             result.replay_windows = replay.windows
             result.replay_rounds = replay.rounds
@@ -985,92 +994,82 @@ class ContinuousBatchingScheduler:
         return result
 
     # ------------------------------------------------------------------
-    def _run_round(self, timeline: ExecutionTimeline,
-                   active: Sequence[_InFlightRequest]) -> None:
-        """Advance every in-flight request by one unit, sharing transfers."""
-        batch_round = (self.prefetcher.begin_round()
-                       if self.prefetcher is not None else SharedExpertRound())
-        # Register every member's planned transfers first so an expert stays
-        # resident until its last user in the round has executed; the plans
-        # are reused for the simulation itself below.  With a cache, the
-        # registration also pins every already-resident expert the plans
-        # rely on, so no mid-round eviction can invalidate a plan.
-        plans = []
-        for state in active:
-            part, activations = self._next_unit(state)
-            plan = self.simulator.make_plan(part, activations)
-            batch_round.register_plan(self.placement, part, plan, activations)
-            plans.append(plan)
-        try:
-            for state, plan in zip(active, plans):
-                self._advance(timeline, state, batch_round, plan)
-        finally:
-            batch_round.drain(self.placement)
-
-    def _run_round_batched(self, timeline: ArrayTimeline,
+    def _run_round_batched(self, timeline: ExecutionTimeline,
                            active: Sequence[_InFlightRequest],
                            replay: Optional[_RoundReplay],
-                           spans: Optional[SpanLog] = None) -> None:
-        """Advance every in-flight request by one unit as one op batch.
+                           spans: Optional[SpanLog] = None) -> int:
+        """Advance every in-flight request by one unit; returns the decoders.
 
-        The columnar twin of :meth:`_run_round`: the same plans, the same
-        transfer sharing, the same op stream — but emitted into one
-        :class:`~repro.system.timeline.OpBatch` and scheduled by the array
-        kernel's single commit.  Replay-eligible rounds (pure decode, no
-        carried cross-pass deps) are recorded for :class:`_RoundReplay`.
+        A round emits at most two stack passes into one
+        :class:`~repro.system.timeline.OpBatch`: one decoder iteration
+        shared by every decoding member, then one encoder pass shared by
+        every prefilling member (the newest admissions, as before).  Each
+        pass is planned and registered once over its members' union of
+        active experts; every decoding member's token lands at the shared
+        LM head's end.  The batch is scheduled by the timeline's single
+        commit (vectorised on the array engine, op by op on the scalar
+        one).  Replay-eligible rounds (pure decode, no carried cross-pass
+        deps) are recorded for :class:`_RoundReplay`.
         """
+        decoding = [s for s in active if s.prefilled]
+        prefilling = [s for s in active if not s.prefilled]
         batch_round = (self.prefetcher.begin_round()
                        if self.prefetcher is not None else SharedExpertRound())
-        plans = []
-        for state in active:
-            part, activations = self._next_unit(state)
+        # Register every pass's plan before emitting anything so an expert
+        # stays resident until its last user in the round has executed;
+        # with a cache, registration also pins every already-resident
+        # expert the plans rely on.
+        units = []
+        for part, states in (("decoder", decoding), ("encoder", prefilling)):
+            if not states:
+                continue
+            members = [self._pass_member(s, s.next_decode) if part == "decoder"
+                       else PassMember(s.trace.encoder_activations,
+                                       s.trace.input_length,
+                                       s.trace.input_length)
+                       for s in states]
+            activations = union_activations(members)
             plan = self.simulator.make_plan(part, activations)
             batch_round.register_plan(self.placement, part, plan, activations)
-            plans.append(plan)
+            units.append((part, states, members, activations, plan))
         # A replay-eligible round is pure decode with no carried deps: every
         # dependency is then intra-batch, no op is arrival-gated, and the
         # round's op columns are a function of the activations alone.
-        eligible = (replay is not None
-                    and all(s.prefilled and not s.pending_deps
-                            for s in active))
+        eligible = (replay is not None and not prefilling
+                    and not any(s.pending_deps for s in active))
         if eligible:
             # Lane clocks as the round found them (the commit advances
             # them); nothing between commits moves a lane.
             lane_free_before = dict(timeline._lane_free)
         batch = timeline.begin_batch()
         passes: List[EmittedPass] = []
-        was_decode: List[bool] = []
         route_log = self.placement.route_log
         # Per-pass (op_lo, op_hi, route_lo, route_hi) slices of the batch
         # and the fetch-attribution log, recorded only when span logging.
         pass_bounds: List[Tuple[int, int, int, int]] = []
         try:
-            for state, plan in zip(active, plans):
-                label = f"r{state.timed.request_id}."
-                start_at = (state.timed.arrival_time
-                            if state.first_scheduled_time is None else 0.0)
+            for part, states, members, activations, plan in units:
+                # Op names exist only on trace-recording timelines.
+                label = ("+".join(f"r{s.timed.request_id}" for s in states) + "."
+                         if batch.record_names else "")
+                extra_deps = [dep for s in states for dep in s.pending_deps]
+                if len(states) > 1:
+                    extra_deps = list(dict.fromkeys(extra_deps))
                 if spans is not None:
                     ops_lo = len(batch.stream)
                     routes_lo = len(route_log) if route_log is not None else 0
-                if not state.prefilled:
-                    em = self.simulator.emit_encoder_pass(
-                        batch, state.trace.encoder_activations,
-                        state.trace.input_length, start_at=start_at,
-                        batch_round=batch_round, label=label, plan=plan,
-                        extra_deps=state.pending_deps)
-                    state.prefilled = True
-                    was_decode.append(False)
-                else:
-                    step = state.next_decode
+                if part == "decoder":
                     em = self.simulator.emit_decoder_iteration(
-                        batch, state.trace.decode_activations[step],
-                        query_tokens=1, self_kv_tokens=step + 1,
-                        cross_kv_tokens=state.trace.input_length,
-                        iteration=step, start_at=start_at,
+                        batch, members,
+                        iteration=states[0].next_decode if len(states) == 1 else "",
                         batch_round=batch_round, label=label, plan=plan,
-                        extra_deps=state.pending_deps)
-                    state.next_decode += 1
-                    was_decode.append(True)
+                        extra_deps=extra_deps, activations=activations)
+                else:
+                    em = self.simulator.emit_encoder_pass(
+                        batch, members,
+                        start_at=max(s.timed.arrival_time for s in states),
+                        batch_round=batch_round, label=label, plan=plan,
+                        extra_deps=extra_deps, activations=activations)
                 passes.append(em)
                 if spans is not None:
                     pass_bounds.append((
@@ -1079,40 +1078,55 @@ class ContinuousBatchingScheduler:
         finally:
             batch_round.drain(self.placement)
         starts, ends = timeline.commit_batch(batch)
-        for state, em, decoded in zip(active, passes, was_decode):
-            if decoded:
-                state.token_times.append(float(ends[em.last_index]))
-            state.pending_deps = list(em.carry_deps)
-            if state.first_scheduled_time is None:
-                state.first_scheduled_time = float(starts[em.first_index])
-        if spans is not None:
-            for state, em, decoded, bounds in zip(active, passes, was_decode,
-                                                  pass_bounds):
-                # next_decode was already advanced above for decode passes.
-                iteration = state.next_decode - 1 if decoded else 0
-                spans.record_pass(
-                    state.timed.request_id,
-                    SPAN_DECODE if decoded else SPAN_PREFILL, iteration,
-                    float(starts[em.first_index]), float(ends[em.last_index]),
-                    self._pass_fetches(batch, starts, ends, bounds, route_log))
-            if route_log is not None:
-                del route_log[:]
-        if replay is None:
-            return
-        if not eligible or (batch.dep_ids
-                            and min(batch.dep_ids) < batch.base_id):
-            replay.reset()
-            return
-        replay.observe(_RoundRecord(
-            base_id=batch.base_id, num_ops=len(batch.stream),
-            req_ids=tuple(s.timed.request_id for s in active),
-            batch=batch, starts=starts, ends=ends,
-            first_index=tuple(em.first_index for em in passes),
-            last_index=tuple(em.last_index for em in passes),
-            lane_free_before=lane_free_before,
-            snapshot=timeline.replay_snapshot(),
-            counters=self.placement.replay_counters(),
-            peak_gpu_bytes=self.placement.peak_gpu_bytes))
+        for index, ((part, states, _, _, _), em) in enumerate(zip(units, passes)):
+            first = float(starts[em.first_index])
+            end = float(ends[em.last_index])
+            decoded = part == "decoder"
+            fetches = (self._pass_fetches(batch, starts, ends,
+                                          pass_bounds[index], route_log)
+                       if spans is not None else None)
+            for state in states:
+                if decoded:
+                    state.token_times.append(end)
+                    state.next_decode += 1
+                else:
+                    state.prefilled = True
+                state.pending_deps = list(em.carry_deps)
+                if state.first_scheduled_time is None:
+                    state.first_scheduled_time = first
+                if spans is not None:
+                    # Every member records the shared pass and its fetches.
+                    spans.record_pass(
+                        state.timed.request_id,
+                        SPAN_DECODE if decoded else SPAN_PREFILL,
+                        state.next_decode - 1 if decoded else 0,
+                        first, end, fetches, batch=len(states))
+        if spans is not None and route_log is not None:
+            del route_log[:]
+        if replay is not None:
+            if not eligible or (batch.dep_ids
+                                and min(batch.dep_ids) < batch.base_id):
+                replay.reset()
+            else:
+                em = passes[0]
+                replay.observe(_RoundRecord(
+                    base_id=batch.base_id, num_ops=len(batch.stream),
+                    req_ids=tuple(s.timed.request_id for s in active),
+                    batch=batch, starts=starts, ends=ends,
+                    first_index=(em.first_index,) * len(active),
+                    last_index=(em.last_index,) * len(active),
+                    lane_free_before=lane_free_before,
+                    snapshot=timeline.replay_snapshot(),
+                    counters=self.placement.replay_counters(),
+                    peak_gpu_bytes=self.placement.peak_gpu_bytes))
+        return len(decoding)
+
+    @staticmethod
+    def _pass_member(state: _InFlightRequest, step: int) -> PassMember:
+        """A request's share of the decoder pass for decode ``step``."""
+        trace = state.trace
+        return PassMember(trace.decode_activations[step], 1, step + 1,
+                          trace.input_length)
 
     def _pass_fetches(self, batch: OpBatch, starts: np.ndarray,
                       ends: np.ndarray, bounds: Tuple[int, int, int, int],
@@ -1174,35 +1188,6 @@ class ContinuousBatchingScheduler:
             now, float(replay.rounds if replay is not None else 0))
         reg.gauge("timeline_ops").sample(now, float(timeline.num_ops))
         probes.mark_sampled(now)
-
-    def _next_unit(self, state: _InFlightRequest):
-        if not state.prefilled:
-            return "encoder", state.trace.encoder_activations
-        return "decoder", state.trace.decode_activations[state.next_decode]
-
-    def _advance(self, timeline: ExecutionTimeline, state: _InFlightRequest,
-                 batch_round: SharedExpertRound, plan) -> None:
-        label = f"r{state.timed.request_id}."
-        start_at = state.timed.arrival_time if state.first_scheduled_time is None else 0.0
-        if not state.prefilled:
-            outcome = self.simulator.encoder_pass(
-                timeline, state.trace.encoder_activations, state.trace.input_length,
-                start_at=start_at, batch_round=batch_round, label=label, plan=plan,
-                extra_deps=state.pending_deps)
-            state.prefilled = True
-        else:
-            step = state.next_decode
-            outcome = self.simulator.decoder_iteration(
-                timeline, state.trace.decode_activations[step],
-                query_tokens=1, self_kv_tokens=step + 1,
-                cross_kv_tokens=state.trace.input_length, iteration=step,
-                start_at=start_at, batch_round=batch_round, label=label, plan=plan,
-                extra_deps=state.pending_deps)
-            state.next_decode += 1
-            state.token_times.append(outcome.end)
-        state.pending_deps = list(outcome.carry_deps)
-        if state.first_scheduled_time is None:
-            state.first_scheduled_time = outcome.first_start
 
     def _finalise(self, state: _InFlightRequest, replica: int) -> ServedRequestResult:
         trace = state.trace

@@ -11,11 +11,15 @@ batching) — the per-request lifecycle state lives in the caller
 path, :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` for the
 batched path).
 
-Batched rounds pass a :class:`SharedExpertRound`, which deduplicates expert
-transfers across the requests of the round: when concurrent requests activate
-the same expert of the same block, only the first request issues the
-CPU→GPU migration and later requests execute against the already-resident
-copy (their execution depends on the original copy op).
+The scheduler's rounds go through :meth:`IterationSimulator.emit_stack_pass`,
+which emits one pass shared by several requests (:class:`PassMember`): ops
+are costed over the summed query tokens, and each MoE block fetches and
+executes the union of the members' active experts.  A one-member pass emits
+exactly the ops of the unbatched walk.  Rounds also pass a
+:class:`SharedExpertRound`, the round's fetch ledger: an expert is migrated
+at most once per round, its slot is refcounted until its last planned user
+has executed, and a later pass that needs it depends on the original copy
+op.
 
 Expert-parallel replicas (a multi-device
 :class:`~repro.system.hardware.DeviceTopology`) additionally split every MoE
@@ -31,7 +35,8 @@ original single-GPU timeline bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.migration import MigrationPlan, plan_for_design
 from ..core.pregate import PreGateSchedule
@@ -162,10 +167,11 @@ class StackPassResult:
 class EmittedPass:
     """Batch-relative anchors of one stack pass emitted as columns.
 
-    The batched (array-kernel) twin of :class:`StackPassResult`: op *times*
-    do not exist until the owning timeline commits the batch, so the
-    emission returns indices into the batch — the scheduler reads
-    ``starts[first_index]`` / ``ends[last_index]`` after the commit.
+    The columnar counterpart of :class:`StackPassResult`: op *times* do
+    not exist until the owning timeline commits the batch, so the emission
+    returns indices into the batch — the scheduler reads
+    ``starts[first_index]`` / ``ends[last_index]`` after the commit, for
+    every member of the pass.
     """
 
     #: Index (within the batch) of the pass's first op, -1 if none emitted.
@@ -175,6 +181,35 @@ class EmittedPass:
     #: Global op ids the request's next pass must depend on (trailing
     #: all-to-all combine; empty single-GPU and after a decoder iteration).
     carry_deps: List[int] = field(default_factory=list)
+
+
+class PassMember(NamedTuple):
+    """One request's share of a (possibly batched) stack pass."""
+
+    activations: IterationActivations
+    query_tokens: int
+    self_kv_tokens: int
+    cross_kv_tokens: Optional[int] = None
+
+
+def union_activations(members: Sequence[PassMember]) -> IterationActivations:
+    """Per-block union of the members' active experts, first-seen order.
+
+    One member's activations are returned as they are, so a one-member
+    pass plans, fetches and releases exactly what the unbatched pass does.
+    """
+    if len(members) == 1:
+        return members[0].activations
+    num_blocks = max(len(m.activations) for m in members)
+    union: IterationActivations = []
+    for block in range(num_blocks):
+        seen: Dict[int, None] = {}
+        for member in members:
+            if block < len(member.activations):
+                for expert in member.activations[block]:
+                    seen.setdefault(int(expert))
+        union.append(list(seen))
+    return union
 
 
 @dataclass
@@ -218,6 +253,10 @@ class IterationSimulator:
         #: shapes of steady decode rounds.  Keys are bounded by the distinct
         #: token counts a workload produces.
         self._duration_cache: Dict[Tuple, float] = {}
+        #: Memoised expert-stage durations keyed by the sorted per-expert
+        #: token loads of a block (few distinct loads per workload: top-1
+        #: decode loads are small integer counts).
+        self._exec_cache: Dict[Tuple[float, ...], float] = {}
 
     @property
     def offloads_experts(self) -> bool:
@@ -254,15 +293,6 @@ class IterationSimulator:
         if value is None:
             value = self._duration_cache[key] = self.latency.gate_time(
                 self.config, query_tokens)
-        return value
-
-    def _exec_duration(self, query_tokens: int, num_active: int) -> float:
-        key = ("exec", query_tokens, num_active)
-        value = self._duration_cache.get(key)
-        if value is None:
-            value = self._duration_cache[key] = (
-                self.latency.expert_execution_time(
-                    self.config, query_tokens, num_active))
         return value
 
     def _lm_duration(self, query_tokens: int) -> float:
@@ -678,32 +708,108 @@ class IterationSimulator:
                                 carry_deps=list(pass_result.carry_deps))
 
     # ------------------------------------------------------------------
-    # Columnar emission (array-kernel hot path)
+    # Columnar emission (the scheduler's round path)
     # ------------------------------------------------------------------
+    def pass_nonmoe_duration(self, part: str,
+                             members: Sequence[PassMember]) -> float:
+        """Duration of one layer's non-MoE op in a pass over ``members``."""
+        if len(members) == 1:
+            m = members[0]
+            return self._nonmoe_duration(
+                part, m.query_tokens, m.self_kv_tokens,
+                m.cross_kv_tokens or m.self_kv_tokens)
+        if part == "encoder":
+            return self.latency.batched_encoder_layer_nonmoe_time(
+                self.config, [m.query_tokens for m in members])
+        return self.latency.batched_decoder_layer_nonmoe_time(
+            self.config, [(m.query_tokens, m.self_kv_tokens,
+                           m.cross_kv_tokens or m.self_kv_tokens)
+                          for m in members])
+
+    def _block_expert_load(self, members: Sequence[PassMember], block: int
+                           ) -> Tuple[Dict[int, Dict[int, float]], float]:
+        """Per-device token load of the members' union, plus all-to-all bytes.
+
+        Every member spreads its query tokens evenly over the experts it
+        activates on each device (the unbatched model's per-device share);
+        an expert activated by several members sums their shares.  On
+        expert-parallel replicas each member's token assignments to remote
+        devices cross the interconnect: ``query_tokens * top_k`` tokens
+        times the member's remote share of its active experts.
+        """
+        load: Dict[int, Dict[int, float]] = {}
+        alltoall_bytes = 0.0
+        owner = self.placement.owner_device if self.multi_device else None
+        for member in members:
+            acts = member.activations
+            experts = acts[block] if block < len(acts) else ()
+            if not experts:
+                continue
+            if owner is None:
+                tokens = load.get(0)
+                if tokens is None:
+                    tokens = load[0] = {}
+                share = member.query_tokens / len(experts)
+                for expert in experts:
+                    tokens[expert] = tokens.get(expert, 0.0) + share
+                continue
+            owners = [owner(int(expert)) for expert in experts]
+            counts: Dict[int, int] = {}
+            for device in owners:
+                counts[device] = counts.get(device, 0) + 1
+            remote = len(experts) - counts.get(0, 0)
+            alltoall_bytes += (member.query_tokens * self.config.top_k
+                               * (remote / len(experts)) * self._token_bytes)
+            for expert, device in zip(experts, owners):
+                tokens = load.get(device)
+                if tokens is None:
+                    tokens = load[device] = {}
+                tokens[expert] = (tokens.get(expert, 0.0)
+                                  + member.query_tokens / counts[device])
+        return load, alltoall_bytes
+
+    def _exec_duration(self, tokens: Collection[float]) -> float:
+        """Expert stage over experts processing ``tokens`` tokens each."""
+        key = tuple(sorted(tokens)) if len(tokens) > 1 else tuple(tokens)
+        value = self._exec_cache.get(key)
+        if value is None:
+            if len(self._exec_cache) >= 16384:
+                self._exec_cache.clear()
+            groups: Dict[int, int] = {}
+            for t in key:
+                rounded = int(round(max(1.0, t)))
+                groups[rounded] = groups.get(rounded, 0) + 1
+            value = self._exec_cache[key] = (
+                self.latency.grouped_expert_execution_time(
+                    self.config, sorted(groups.items())))
+        return value
+
     def emit_stack_pass(
         self,
         batch: OpBatch,
         part: str,
-        iteration: int,
-        activations: IterationActivations,
-        query_tokens: int,
-        self_kv_tokens: int,
-        cross_kv_tokens: Optional[int],
+        iteration: Union[int, str],
+        members: Sequence[PassMember],
         start_at: float = 0.0,
         batch_round: Optional[SharedExpertRound] = None,
         label: str = "",
         plan: Optional[MigrationPlan] = None,
         extra_deps: Optional[Sequence[int]] = None,
+        activations: Optional[IterationActivations] = None,
     ) -> EmittedPass:
-        """Columnar twin of :meth:`simulate_stack_pass`.
+        """Emit one stack pass shared by ``members`` as columns into ``batch``.
 
-        Emits *exactly* the ops the scalar walk would add — same order,
-        durations, dependencies, categories, devices and bytes — as columns
-        into ``batch``, without constructing :class:`TimelineOp` objects or
-        (in no-trace mode) op-name strings.  Placement side effects (fetch
-        routing, shared-slot allocation, transfer stats) happen here, in the
-        scalar order; op times exist only once the owning timeline commits
-        the batch.  The parity test matrix pins the two paths to each other.
+        The batched twin of :meth:`simulate_stack_pass`: one op per layer
+        step for the whole batch.  Non-MoE, FFN and gate ops run over the
+        summed query tokens (attention sums each member's KV traffic); each
+        MoE block fetches and executes the union of the members' active
+        experts (``activations``, :func:`union_activations` by default),
+        planned by one ``plan``.  With one member the pass emits *exactly*
+        the ops :meth:`simulate_stack_pass` adds — same order, durations,
+        dependencies, categories, devices and bytes.  Placement side effects
+        (fetch routing, shared-slot allocation, transfer stats) happen here;
+        op times exist only once the owning timeline commits the batch.
+        ``iteration`` and ``label`` only name ops (trace mode).
         """
         config = self.config
         placement = self.placement
@@ -711,6 +817,8 @@ class IterationSimulator:
         num_layers = (config.num_encoder_layers if part == "encoder"
                       else config.num_decoder_layers)
         num_blocks = len(moe_positions)
+        if activations is None:
+            activations = union_activations(members)
         if plan is None:
             plan = self.make_plan(part, activations)
         transfers_by_issue = plan.by_issue_block()
@@ -718,7 +826,9 @@ class IterationSimulator:
         if self.design == "pregated" and num_blocks > 0:
             schedule = PreGateSchedule(num_blocks=num_blocks,
                                        activation_level=self.activation_level)
+        query_tokens = sum(m.query_tokens for m in members)
         gate_time = self._gate_duration(query_tokens)
+        nonmoe = self.pass_nonmoe_duration(part, members)
         names = batch.record_names
         base_id = batch.base_id
         emitted = EmittedPass(first_index=-1, last_index=-1)
@@ -747,9 +857,6 @@ class IterationSimulator:
 
         for layer in range(num_layers):
             # --- non-MoE portion of the transformer block -------------
-            nonmoe = self._nonmoe_duration(
-                part, query_tokens, self_kv_tokens,
-                cross_kv_tokens or self_kv_tokens)
             last_compute_id = add_compute(
                 f"{label}{part}{iteration}.layer{layer}.attention"
                 if names else None, nonmoe, category=CAT_NON_MOE)
@@ -826,20 +933,21 @@ class IterationSimulator:
                             allocation_tags.setdefault(
                                 transfer.block_index, []).append(tag)
 
-            activated = activations[block] if block < len(activations) else []
+            load, alltoall_bytes = self._block_expert_load(members, block)
             block_transfer_ops = transfer_ops_by_target.get(block, [])
             if not self.multi_device:
-                exec_time = self._exec_duration(query_tokens,
-                                                max(1, len(activated)))
+                tokens = (load[0].values() if load
+                          else (float(query_tokens),))
                 last_compute_id = add_compute(
                     f"{label}{part}{iteration}.moe{block}.experts"
-                    if names else None, exec_time,
+                    if names else None, self._exec_duration(tokens),
                     deps=[op_id for op_id, _ in block_transfer_ops],
                     category=CAT_EXPERT_EXECUTION)
             else:
                 block_end_id, device0_exec_id = self._emit_sharded_block(
-                    batch, part, iteration, block, activated, query_tokens,
-                    block_transfer_ops, last_compute_id, carry_deps, label)
+                    batch, part, iteration, block, load, alltoall_bytes,
+                    query_tokens, block_transfer_ops, last_compute_id,
+                    carry_deps, label)
                 if device0_exec_id >= 0:
                     last_compute_id = device0_exec_id
                 emitted.last_index = block_end_id - base_id
@@ -849,33 +957,31 @@ class IterationSimulator:
                                                     activations, block):
                     batch_round.release(placement, key)
             else:
+                activated = activations[block] if block < len(activations) else []
                 placement.release_block_experts(
                     part, block, allocation_tags.get(block, []), activated)
 
         emitted.carry_deps = list(carry_deps)
         return emitted
 
-    def _emit_sharded_block(self, batch: OpBatch, part: str, iteration: int,
-                            block: int, activated, query_tokens: int,
+    def _emit_sharded_block(self, batch: OpBatch, part: str, iteration: Union[int, str],
+                            block: int, load: Dict[int, Dict[int, float]],
+                            alltoall_bytes: float, query_tokens: int,
                             block_transfer_ops: List[Tuple[int, int]],
                             last_compute_id: int, carry_deps: List[int],
                             label: str) -> Tuple[int, int]:
-        """Columnar twin of :meth:`_execute_sharded_block` (ids, not ops)."""
-        config = self.config
+        """Batched twin of :meth:`_execute_sharded_block` (ids, not ops).
+
+        Each device executes its share of the union of active experts
+        (``load``, from :meth:`_block_expert_load`, with the block's
+        all-to-all bytes).
+        """
         placement = self.placement
-        counts: Dict[int, int] = {}
-        for expert in activated:
-            device = placement.owner_device(int(expert))
-            counts[device] = counts.get(device, 0) + 1
-        if not counts:
-            counts = {0: 0}
-        total_active = max(1, len(activated))
-        token_assignments = query_tokens * config.top_k
-        remote_share = sum(n for d, n in counts.items() if d != 0) / total_active
-        alltoall_bytes = token_assignments * remote_share * self._token_bytes
         names = batch.record_names
         base = f"{label}{part}{iteration}.moe{block}" if names else None
-        participating = set(counts)
+        # No activated expert recorded: the dispatch-overhead-only
+        # evaluation runs on device 0, mirroring the single-GPU path.
+        participating = load if load else {0: {}}
         leftover_deps = [op_id for op_id, dev in block_transfer_ops
                          if dev not in participating]
 
@@ -890,9 +996,10 @@ class IterationSimulator:
 
         exec_ids: List[int] = []
         device0_exec_id = -1
-        for device in sorted(counts):
-            exec_time = self._exec_duration(query_tokens,
-                                            max(1, counts[device]))
+        for device in sorted(participating):
+            tokens = participating[device]
+            exec_time = self._exec_duration(
+                tokens.values() if tokens else (float(query_tokens),))
             deps = [op_id for op_id, dev in block_transfer_ops if dev == device]
             if device != 0 and dispatch_id >= 0:
                 deps.append(dispatch_id)
@@ -916,23 +1023,26 @@ class IterationSimulator:
         return combine_id, device0_exec_id
 
     def emit_decoder_iteration(self, batch: OpBatch,
-                               activations: IterationActivations,
-                               query_tokens: int = 1, self_kv_tokens: int = 1,
-                               cross_kv_tokens: int = 32, iteration: int = 0,
+                               members: Sequence[PassMember],
+                               iteration: Union[int, str] = 0,
                                start_at: float = 0.0,
                                batch_round: Optional[SharedExpertRound] = None,
                                label: str = "",
                                plan: Optional[MigrationPlan] = None,
-                               extra_deps: Optional[Sequence[int]] = None) -> EmittedPass:
-        """Columnar twin of :meth:`decoder_iteration` (pass + LM head)."""
+                               extra_deps: Optional[Sequence[int]] = None,
+                               activations: Optional[IterationActivations] = None,
+                               ) -> EmittedPass:
+        """Batched twin of :meth:`decoder_iteration` (pass + one LM head).
+
+        The LM head runs once over every member's query tokens; its end is
+        each member's token time.
+        """
         emitted = self.emit_stack_pass(
-            batch, "decoder", iteration, activations,
-            query_tokens=query_tokens, self_kv_tokens=self_kv_tokens,
-            cross_kv_tokens=cross_kv_tokens, start_at=start_at,
+            batch, "decoder", iteration, members, start_at=start_at,
             batch_round=batch_round, label=label, plan=plan,
-            extra_deps=extra_deps)
+            extra_deps=extra_deps, activations=activations)
         lm_id = batch.add(
-            _COMPUTE, self._lm_duration(query_tokens),
+            _COMPUTE, self._lm_duration(sum(m.query_tokens for m in members)),
             deps=emitted.carry_deps, category=CAT_NON_MOE,
             earliest_start=start_at if emitted.first_index < 0 else 0.0,
             name=f"{label}decoder{iteration}.lm_head"
@@ -942,15 +1052,16 @@ class IterationSimulator:
         return EmittedPass(first_index=first, last_index=lm_index)
 
     def emit_encoder_pass(self, batch: OpBatch,
-                          activations: IterationActivations,
-                          input_tokens: int, start_at: float = 0.0,
+                          members: Sequence[PassMember],
+                          start_at: float = 0.0,
                           batch_round: Optional[SharedExpertRound] = None,
                           label: str = "",
                           plan: Optional[MigrationPlan] = None,
-                          extra_deps: Optional[Sequence[int]] = None) -> EmittedPass:
-        """Columnar twin of :meth:`encoder_pass`."""
+                          extra_deps: Optional[Sequence[int]] = None,
+                          activations: Optional[IterationActivations] = None,
+                          ) -> EmittedPass:
+        """Batched twin of :meth:`encoder_pass` (one pass over every prompt)."""
         return self.emit_stack_pass(
-            batch, "encoder", 0, activations, query_tokens=input_tokens,
-            self_kv_tokens=input_tokens, cross_kv_tokens=None,
-            start_at=start_at, batch_round=batch_round, label=label,
-            plan=plan, extra_deps=extra_deps)
+            batch, "encoder", 0, members, start_at=start_at,
+            batch_round=batch_round, label=label, plan=plan,
+            extra_deps=extra_deps, activations=activations)

@@ -15,7 +15,7 @@ execution time — the central tension the pre-gate resolves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from ..moe.configs import ModelConfig
 from .hardware import GpuSpec
@@ -68,11 +68,24 @@ class GpuLatencyModel:
                        kv_tokens: Optional[int] = None) -> LayerCost:
         """One multi-head attention evaluation (self- or cross-attention)."""
         kv_tokens = kv_tokens if kv_tokens is not None else query_tokens
+        return self.batched_attention_cost(config, ((query_tokens, kv_tokens),))
+
+    def batched_attention_cost(self, config: ModelConfig,
+                               shapes: Sequence[Tuple[int, int]]) -> LayerCost:
+        """One attention evaluation over a batch of ``(query, kv)`` requests.
+
+        The projections run over the summed query tokens, so their weights
+        are read once; each request attends to its own KV, so score FLOPs
+        and KV traffic are summed per request.  One shape is exactly
+        :meth:`attention_cost`.
+        """
         d = config.d_model
+        bpp = self.compute_bytes_per_param
+        query_tokens = sum(q for q, _ in shapes)
         proj_flops = 4 * 2.0 * query_tokens * d * d
-        score_flops = 2.0 * query_tokens * kv_tokens * d * 2
-        weight_bytes = 4 * d * d * self.compute_bytes_per_param
-        act_bytes = (query_tokens + 2 * kv_tokens) * d * self.compute_bytes_per_param
+        score_flops = sum(2.0 * q * kv * d * 2 for q, kv in shapes)
+        weight_bytes = 4 * d * d * bpp
+        act_bytes = sum((q + 2 * kv) * d * bpp for q, kv in shapes)
         return LayerCost(flops=proj_flops + score_flops, weight_bytes=weight_bytes,
                          activation_bytes=act_bytes, num_kernels=4)
 
@@ -131,13 +144,29 @@ class GpuLatencyModel:
         if num_active_experts < 1:
             raise ValueError("num_active_experts must be >= 1")
         per_expert_tokens = max(1.0, tokens / num_active_experts)
-        per_expert = self.ffn_cost(config, int(round(per_expert_tokens)))
-        total = LayerCost(
-            flops=per_expert.flops * num_active_experts,
-            weight_bytes=per_expert.weight_bytes * num_active_experts,
-            activation_bytes=per_expert.activation_bytes * num_active_experts,
-            num_kernels=per_expert.num_kernels * num_active_experts,
-        )
+        return self.grouped_expert_execution_time(
+            config, ((int(round(per_expert_tokens)), num_active_experts),))
+
+    def grouped_expert_execution_time(
+            self, config: ModelConfig,
+            groups: Sequence[Tuple[int, int]]) -> float:
+        """Expert-execution stage over ``(tokens per expert, experts)`` groups.
+
+        The batched form of :meth:`expert_execution_time`: a batch's union of
+        active experts, grouped by how many tokens each expert processes.
+        Every expert's weights stream once and the dispatch overhead is
+        paid once per block.  One group is exactly the unbatched call.
+        """
+        flops = weight_bytes = act_bytes = 0.0
+        num_kernels = 0
+        for tokens, count in groups:
+            per_expert = self.ffn_cost(config, tokens)
+            flops += per_expert.flops * count
+            weight_bytes += per_expert.weight_bytes * count
+            act_bytes += per_expert.activation_bytes * count
+            num_kernels += per_expert.num_kernels * count
+        total = LayerCost(flops=flops, weight_bytes=weight_bytes,
+                          activation_bytes=act_bytes, num_kernels=num_kernels)
         return self.gpu.moe_dispatch_overhead + self.layer_time(total)
 
     def moe_block_compute_time(self, config: ModelConfig, tokens: int,
@@ -151,12 +180,31 @@ class GpuLatencyModel:
     # ------------------------------------------------------------------
     def encoder_layer_nonmoe_time(self, config: ModelConfig, tokens: int) -> float:
         """Self-attention + norms of one encoder block (FFN/MoE excluded)."""
-        return (self.attention_time(config, tokens)
-                + 2 * self.layernorm_time(config, tokens))
+        return self.batched_encoder_layer_nonmoe_time(config, (tokens,))
+
+    def batched_encoder_layer_nonmoe_time(self, config: ModelConfig,
+                                          tokens: Sequence[int]) -> float:
+        """:meth:`encoder_layer_nonmoe_time` over a batch of requests."""
+        return (self.layer_time(self.batched_attention_cost(
+                    config, [(t, t) for t in tokens]))
+                + 2 * self.layernorm_time(config, sum(tokens)))
 
     def decoder_layer_nonmoe_time(self, config: ModelConfig, query_tokens: int,
                                   self_kv_tokens: int, cross_kv_tokens: int) -> float:
         """Self-attention + cross-attention + norms of one decoder block."""
-        return (self.attention_time(config, query_tokens, self_kv_tokens)
-                + self.attention_time(config, query_tokens, cross_kv_tokens)
-                + 3 * self.layernorm_time(config, query_tokens))
+        return self.batched_decoder_layer_nonmoe_time(
+            config, ((query_tokens, self_kv_tokens, cross_kv_tokens),))
+
+    def batched_decoder_layer_nonmoe_time(
+            self, config: ModelConfig,
+            shapes: Sequence[Tuple[int, int, int]]) -> float:
+        """:meth:`decoder_layer_nonmoe_time` over a batch of requests.
+
+        ``shapes`` holds one ``(query, self KV, cross KV)`` triple per
+        request; norms run over the summed query tokens.
+        """
+        return (self.layer_time(self.batched_attention_cost(
+                    config, [(q, kv) for q, kv, _ in shapes]))
+                + self.layer_time(self.batched_attention_cost(
+                    config, [(q, kv) for q, _, kv in shapes]))
+                + 3 * self.layernorm_time(config, sum(q for q, _, _ in shapes)))

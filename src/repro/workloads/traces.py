@@ -148,11 +148,45 @@ class TraceGenerator:
             raise ValueError("input_length and output_length must be >= 1")
         encoder_blocks = self.config.num_moe_blocks("encoder")
         decoder_blocks = self.config.num_moe_blocks("decoder")
-        encoder = self.iteration_activations(input_length * batch_size, encoder_blocks, top_k=top_k)
-        decode = [self.iteration_activations(batch_size, decoder_blocks, top_k=top_k)
-                  for _ in range(output_length)]
+        k = top_k if top_k is not None else self.top_k
+        if min(k, self.config.num_experts) == 1:
+            encoder, decode = self._top1_request(
+                input_length * batch_size, encoder_blocks, batch_size,
+                decoder_blocks, output_length)
+        else:
+            encoder = self.iteration_activations(input_length * batch_size,
+                                                 encoder_blocks, top_k=top_k)
+            decode = [self.iteration_activations(batch_size, decoder_blocks, top_k=top_k)
+                      for _ in range(output_length)]
         return RequestTrace(input_length=input_length, output_length=output_length,
                             encoder_activations=encoder, decode_activations=decode)
+
+    def _top1_request(self, encoder_tokens: int, encoder_blocks: int,
+                      decode_tokens: int, decoder_blocks: int, output_length: int):
+        """Top-1 request routing from one draw over every block, in block order.
+
+        ``Generator.random(n)`` yields the same stream as the per-block
+        draws of :meth:`block_activation`, so the activations are identical
+        to the per-block path; one draw and one ``searchsorted`` replace
+        one of each per block.
+        """
+        num_draws = (encoder_blocks * encoder_tokens
+                     + output_length * decoder_blocks * decode_tokens)
+        flat = self._cdf.searchsorted(self._rng.random(num_draws),
+                                      side="right").tolist()
+
+        def blocks(offset: int, count: int, tokens: int) -> IterationActivations:
+            if tokens == 1:
+                return [[e] for e in flat[offset:offset + count]]
+            return [sorted(set(flat[offset + b * tokens:offset + (b + 1) * tokens]))
+                    for b in range(count)]
+
+        encoder = blocks(0, encoder_blocks, encoder_tokens)
+        step = decoder_blocks * decode_tokens
+        base = encoder_blocks * encoder_tokens
+        decode = [blocks(base + i * step, decoder_blocks, decode_tokens)
+                  for i in range(output_length)]
+        return encoder, decode
 
     def workload(self, num_requests: int, input_length: int, output_length: int,
                  batch_size: int = 1, top_k: Optional[int] = None) -> List[RequestTrace]:

@@ -13,7 +13,7 @@ from repro.obs.spans import (
     PassFetch,
     SpanLog,
 )
-from repro.serving.scheduler import make_scheduler, serve_load
+from repro.serving.scheduler import serve_load
 from repro.system.hardware import SSD_SYSTEM
 from repro.workloads.arrivals import POISSON_QA_LOAD
 from repro.workloads.generator import WorkloadSpec
@@ -121,10 +121,16 @@ class TestSchedulerSpanLogging:
         assert result.replay_windows == 0
         assert result.spans is not None
 
-    def test_span_log_requires_array_engine(self):
-        with pytest.raises(ValueError, match="array timeline engine"):
-            make_scheduler("pregated", "switch_base_64",
-                           timeline_engine="scalar", span_log=True)
+    def test_span_log_identical_on_scalar_engine(self):
+        """Both engines commit the same round batches, so spans agree."""
+        trees = {}
+        for engine in ("array", "scalar"):
+            trees[engine] = serve_load(
+                "pregated", "switch_base_64", POISSON_QA_LOAD,
+                workload=WORKLOAD, system=SSD_SYSTEM, stage_policy="lru",
+                stage_capacity=8, num_gpus=2, max_batch_size=4,
+                timeline_engine=engine, span_log=True).spans
+        assert trees["scalar"] == trees["array"]
 
     def test_spans_off_by_default(self):
         result = serve_load("pregated", "switch_base_64", POISSON_QA_LOAD,

@@ -11,6 +11,9 @@ form instead of re-simulating each one.  These tests pin its contract:
   only skip rounds it can reproduce, never approximate counters);
 * the scalar engine and the array kernel are bit-identical (replay's
   baseline is itself exact);
+* both hold at batch 2 and batch 8, where every round is one pass shared
+  by all five requests (engagement is only required at batch 2: five
+  members' cross-request collision patterns rarely repeat);
 * replay engages across the whole placement matrix — plain single-GPU,
   multi-GPU shards, DRAM staging and expert caches under every eviction
   policy — whenever the workload reaches a steady state whose rounds are
@@ -111,8 +114,8 @@ def steady_requests(n=5, out=40, gap=0.05, skew=MIXED_SKEW, seed=11):
             for i in range(n)]
 
 
-def serve(design, kwargs, engine, replay, requests):
-    scheduler = make_scheduler(design, CONFIG, max_batch_size=2,
+def serve(design, kwargs, engine, replay, requests, batch=2):
+    scheduler = make_scheduler(design, CONFIG, max_batch_size=batch,
                                timeline_engine=engine, round_replay=replay,
                                **kwargs)
     return scheduler.serve(requests)
@@ -150,20 +153,27 @@ def assert_replay_parity(kernel, replayed, label):
         assert rel(u_k, u_r) < 1e-9, label
 
 
+def serve_matrix(name, batch):
+    """Serve scenario ``name`` on scalar, kernel and kernel+replay; check parity."""
+    design, kwargs, _, skew = SCENARIOS[name]
+    requests = steady_requests(skew=skew)
+    scalar = serve(design, kwargs, "scalar", False, requests, batch)
+    kernel = serve(design, kwargs, "array", False, requests, batch)
+    replayed = serve(design, kwargs, "array", True, requests, batch)
+    # Scalar and kernel are the same simulator, bit for bit.
+    assert kernel.makespan == scalar.makespan
+    assert kernel.timeline_total_ops == scalar.timeline_total_ops
+    for a, b in zip(scalar.requests, kernel.requests):
+        assert a.token_times == b.token_times
+    assert_replay_parity(kernel, replayed, name)
+    return replayed
+
+
 class TestServeParityMatrix:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_replay_matches_step_by_step(self, name):
-        design, kwargs, expect_replay, skew = SCENARIOS[name]
-        requests = steady_requests(skew=skew)
-        scalar = serve(design, kwargs, "scalar", False, requests)
-        kernel = serve(design, kwargs, "array", False, requests)
-        replayed = serve(design, kwargs, "array", True, requests)
-        # Scalar and kernel are the same simulator, bit for bit.
-        assert kernel.makespan == scalar.makespan
-        assert kernel.timeline_total_ops == scalar.timeline_total_ops
-        for a, b in zip(scalar.requests, kernel.requests):
-            assert a.token_times == b.token_times
-        assert_replay_parity(kernel, replayed, name)
+        expect_replay = SCENARIOS[name][2]
+        replayed = serve_matrix(name, batch=2)
         if expect_replay:
             assert replayed.replay_windows > 0, name
             assert replayed.replay_rounds >= replayed.replay_windows
@@ -173,6 +183,13 @@ class TestServeParityMatrix:
             # fire — correctness over speed.
             assert replayed.replay_windows == 0, name
             assert replayed.replay_ops == 0, name
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_batch8_replay_matches_step_by_step(self, name):
+        """Every round is one pass shared by up to five requests."""
+        replayed = serve_matrix(name, batch=8)
+        if not SCENARIOS[name][2]:
+            assert replayed.replay_windows == 0, name
 
 
 class TestReplayEngagement:

@@ -72,10 +72,24 @@ class TestWarmCache:
         assert warm.expert_bytes_transferred < base.expert_bytes_transferred
         assert warm.cache_stats.hit_rate > 0.0
         assert warm.cache_stats.bytes_saved > 0
-        # Conservation: transferred + saved covers exactly the uncached volume.
+        assert warm.makespan <= base.makespan + 1e-9
+
+    @pytest.mark.parametrize("design", CACHED_DESIGNS)
+    def test_cache_conserves_transfer_volume(self, design, requests):
+        """Transferred + saved covers exactly the uncached volume.
+
+        A round fetches the union of its members' experts, so the identity
+        needs both runs to batch the same requests together.  A burst fixes
+        round membership whatever the timing: the first three requests
+        share every round and the fourth runs alone after them.
+        """
+        burst = timed([r.trace for r in requests], [0.0] * len(requests))
+        base = make_scheduler(design, CONFIG, max_batch_size=3).serve(burst)
+        warm = make_scheduler(design, CONFIG, max_batch_size=3,
+                              cache_policy="lru", cache_capacity=128).serve(burst)
+        assert warm.cache_stats.bytes_saved > 0
         assert (warm.expert_bytes_transferred + warm.cache_stats.bytes_saved
                 == base.expert_bytes_transferred)
-        assert warm.makespan <= base.makespan + 1e-9
 
     @pytest.mark.parametrize("policy", ("lifo", "lru", "lfu"))
     def test_all_policies_serve_correctly(self, policy, requests):

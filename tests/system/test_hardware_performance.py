@@ -124,3 +124,47 @@ class TestGpuLatencyModel:
         enc = model.encoder_layer_nonmoe_time(config, 1)
         dec = model.decoder_layer_nonmoe_time(config, 1, 1, 32)
         assert dec > enc
+
+
+class TestBatchedCosts:
+    """Batched forms of the latency model: one shape reduces exactly."""
+
+    @pytest.fixture
+    def model(self):
+        return GpuLatencyModel(A100_80GB)
+
+    @pytest.fixture
+    def config(self):
+        return get_config("switch_base_128")
+
+    def test_one_shape_is_the_unbatched_cost(self, model, config):
+        assert (model.batched_attention_cost(config, [(3, 17)])
+                == model.attention_cost(config, 3, 17))
+        assert (model.batched_decoder_layer_nonmoe_time(config, [(1, 9, 32)])
+                == model.decoder_layer_nonmoe_time(config, 1, 9, 32))
+        assert (model.batched_encoder_layer_nonmoe_time(config, [32])
+                == model.encoder_layer_nonmoe_time(config, 32))
+        assert (model.grouped_expert_execution_time(config, [(4, 8)])
+                == model.expert_execution_time(config, 32, 8))
+
+    def test_projection_weights_read_once(self, model, config):
+        """A batch streams the projection weights once, the KV per request."""
+        one = model.attention_cost(config, 1, 20)
+        batch = model.batched_attention_cost(config, [(1, 20), (1, 40)])
+        assert batch.weight_bytes == one.weight_bytes
+        assert batch.activation_bytes == pytest.approx(
+            one.activation_bytes + model.attention_cost(config, 1, 40).activation_bytes)
+        assert batch.flops == pytest.approx(
+            one.flops + model.attention_cost(config, 1, 40).flops)
+
+    def test_memory_bound_decode_batches_nearly_free(self, model, config):
+        """Eight decode tokens cost far less than eight single-token layers."""
+        single = model.decoder_layer_nonmoe_time(config, 1, 16, 32)
+        eight = model.batched_decoder_layer_nonmoe_time(config, [(1, 16, 32)] * 8)
+        assert single < eight < 1.5 * single
+
+    def test_grouped_experts_stream_every_expert(self, model, config):
+        """Four experts of two tokens plus one of one: each streams its weights."""
+        grouped = model.grouped_expert_execution_time(config, [(1, 1), (2, 4)])
+        assert grouped > model.expert_execution_time(config, 8, 4)
+        assert grouped > model.expert_execution_time(config, 1, 1)

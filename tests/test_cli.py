@@ -150,6 +150,12 @@ class TestTraceCommand:
         # request-span track process rides along.
         pids = {event["pid"] for event in events}
         assert {0, 1} <= pids and len(pids) == 3
+        # The artifact says whether rounds batched their decoders.
+        assert payload["otherData"]["mean_round_batch"] >= 1.0
+        decode_spans = [e for e in events
+                        if e["ph"] == "X" and e.get("cat") == "decode"]
+        assert decode_spans
+        assert all(e["args"]["round_batch"] >= 1 for e in decode_spans)
 
     def test_trace_metrics_out_csv(self, tmp_path, capsys):
         out = tmp_path / "trace.json"

@@ -34,6 +34,25 @@ class TestTraceGenerator:
         assert len(many) > len(few)
         assert len(many) <= CONFIG.num_experts
 
+    @pytest.mark.parametrize("skew,batch_size,top_k", [
+        (0.0, 1, None), (1.2, 1, None), (1.2, 3, None), (1.2, 2, 2)])
+    def test_request_trace_matches_per_block_draws(self, skew, batch_size, top_k):
+        """The one-draw top-1 path consumes the RNG exactly like the
+        per-block path, so traces (and the generator state after them)
+        are identical."""
+        fast = TraceGenerator(CONFIG, skew=skew, seed=9)
+        slow = TraceGenerator(CONFIG, skew=skew, seed=9)
+        trace = fast.request_trace(5, 7, batch_size=batch_size, top_k=top_k)
+        encoder = slow.iteration_activations(
+            5 * batch_size, CONFIG.num_moe_blocks("encoder"), top_k=top_k)
+        decode = [slow.iteration_activations(
+            batch_size, CONFIG.num_moe_blocks("decoder"), top_k=top_k)
+            for _ in range(7)]
+        assert trace.encoder_activations == encoder
+        assert trace.decode_activations == decode
+        assert all(type(e) is int for block in encoder for e in block)
+        assert fast.block_activation(4) == slow.block_activation(4)
+
     def test_activations_sorted_unique(self):
         gen = TraceGenerator(CONFIG, seed=2)
         activation = gen.block_activation(num_tokens=50)
