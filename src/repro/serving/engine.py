@@ -1,9 +1,10 @@
 """Serving engines for the four MoE inference system designs.
 
-Each engine simulates single-GPU serving of a (paper-scale) Switch-
-Transformer configuration on a :class:`~repro.system.hardware.SystemSpec`,
-using the dual-stream :class:`~repro.system.timeline.ExecutionTimeline` to
-model the interaction between GPU compute and CPU→GPU expert migration:
+Each engine simulates serving of a (paper-scale) Switch-Transformer
+configuration on a :class:`~repro.system.hardware.SystemSpec` (one GPU, or
+an expert-parallel multi-GPU replica), using the multi-lane
+:class:`~repro.system.timeline.ExecutionTimeline` to model the interaction
+between GPU compute and expert migration from host memory or SSD:
 
 * :class:`GPUOnlyEngine` — the oracular baseline: every parameter resident
   in GPU memory, no expert migration (OOMs when the model does not fit).
@@ -20,8 +21,11 @@ The engine itself is the *request-lifecycle* layer of the serving stack: it
 composes a :class:`~repro.serving.placement.ModelPlacement` (parameter
 storage policy) with an :class:`~repro.serving.simulator.IterationSimulator`
 (per-iteration timeline simulation) and runs requests end-to-end, one at a
-time.  The continuous-batching path that interleaves many in-flight requests
-lives in :mod:`repro.serving.scheduler`, built from the same two layers.
+time: each encoder pass or decoder iteration is one single-member pass from
+:meth:`~repro.serving.simulator.IterationSimulator.emit_stack_pass`,
+committed to the request's timeline.  The continuous-batching path that
+interleaves many in-flight requests lives in :mod:`repro.serving.scheduler`,
+built from the same two layers and the same emitter.
 
 The engines consume expert-activation traces
 (:class:`~repro.workloads.traces.RequestTrace`) and emit the same metrics
@@ -41,9 +45,10 @@ from ..system.memory import MemoryHierarchy, MemoryPool, OutOfMemoryError
 from ..system.performance import GpuLatencyModel
 from ..system.timeline import ExecutionTimeline
 from ..workloads.traces import IterationActivations, RequestTrace
-from .metrics import IterationResult, RequestResult, WorkloadResult
+from .metrics import (BlockLatencyRecord, IterationResult, RequestResult,
+                      WorkloadResult)
 from .placement import DEFAULT_RUNTIME_WORKSPACE_BYTES, ModelPlacement
-from .simulator import IterationSimulator
+from .simulator import EmittedPass, IterationSimulator, PassMember
 
 
 @dataclass
@@ -141,31 +146,43 @@ class ServingEngine:
             return self._carry[1]
         return []
 
+    def _run_pass(self, part: str, iteration: int, member: PassMember,
+                  timeline: Optional[ExecutionTimeline]) -> IterationResult:
+        """Emit one single-member pass, commit it and time its MoE blocks."""
+        self.load_model()
+        timeline = timeline if timeline is not None else ExecutionTimeline()
+        start = timeline.makespan
+        batch = timeline.begin_batch()
+        extra_deps = self._consume_carry(timeline)
+        if part == "encoder":
+            emitted = self.simulator.emit_encoder_pass(
+                batch, [member], extra_deps=extra_deps)
+        else:
+            emitted = self.simulator.emit_decoder_iteration(
+                batch, [member], iteration=iteration, extra_deps=extra_deps)
+        starts, ends = timeline.commit_batch(batch)
+        self._carry = (timeline, list(emitted.carry_deps))
+        return IterationResult(
+            part=part, iteration=iteration,
+            duration=timeline.makespan - start,
+            block_latencies=_block_records(part, iteration, emitted,
+                                          starts.tolist(), ends.tolist()))
+
     def run_decoder_iteration(self, activations: IterationActivations,
                               query_tokens: int = 1, self_kv_tokens: int = 1,
                               cross_kv_tokens: int = 32,
                               timeline: Optional[ExecutionTimeline] = None,
                               iteration: int = 0) -> IterationResult:
         """Simulate a single decoder iteration (all decoder layers, one token)."""
-        self.load_model()
-        timeline = timeline if timeline is not None else ExecutionTimeline()
-        outcome = self.simulator.decoder_iteration(
-            timeline, activations, query_tokens=query_tokens,
-            self_kv_tokens=self_kv_tokens, cross_kv_tokens=cross_kv_tokens,
-            iteration=iteration, extra_deps=self._consume_carry(timeline))
-        self._carry = (timeline, list(outcome.carry_deps))
-        return outcome.result
+        return self._run_pass("decoder", iteration, PassMember(
+            activations, query_tokens, self_kv_tokens, cross_kv_tokens),
+            timeline)
 
     def run_encoder_pass(self, activations: IterationActivations, input_tokens: int,
                          timeline: Optional[ExecutionTimeline] = None) -> IterationResult:
         """Simulate the encoder pass over ``input_tokens`` tokens."""
-        self.load_model()
-        timeline = timeline if timeline is not None else ExecutionTimeline()
-        outcome = self.simulator.encoder_pass(
-            timeline, activations, input_tokens,
-            extra_deps=self._consume_carry(timeline))
-        self._carry = (timeline, list(outcome.carry_deps))
-        return outcome.result
+        return self._run_pass("encoder", 0, PassMember(
+            activations, input_tokens, input_tokens), timeline)
 
     def run_request(self, trace: RequestTrace) -> RequestResult:
         """Serve one request end-to-end: encoder pass + all decoder iterations."""
@@ -216,6 +233,36 @@ class ServingEngine:
         if self.offloads_experts:
             result.tier_stats = self.placement.transfers.since(transfers_before)
         return result
+
+
+def _block_records(part: str, iteration: int, emitted: EmittedPass,
+                  starts: Sequence[float], ends: Sequence[float]
+                  ) -> List[BlockLatencyRecord]:
+    """Per-MoE-block latency records of one committed pass.
+
+    A block's latency runs from the end of its layer's attention op (its
+    input is ready) to the end of the op completing the block.  Its exposed
+    transfer time is the worst per-device stall between compute-side
+    readiness — the last compute op before execution, or for a remote
+    device its tokens' arrival via the dispatch — and the start of that
+    device's expert execution: migration latency left unhidden.
+    """
+    records = []
+    for block, anchors in enumerate(emitted.blocks):
+        gate_ready = ends[anchors.ready_index]
+        dispatch = anchors.dispatch_index
+        exposed = 0.0
+        for device, index in anchors.exec_indices:
+            ready = gate_ready
+            if device != 0 and dispatch >= 0:
+                ready = max(ready, ends[dispatch])
+            exposed = max(exposed, starts[index] - ready)
+        records.append(BlockLatencyRecord(
+            part=part, iteration=iteration, block_index=block,
+            latency=ends[anchors.end_index] - ends[anchors.input_index],
+            num_active_experts=anchors.num_active_experts,
+            exposed_transfer_time=exposed))
+    return records
 
 
 class GPUOnlyEngine(ServingEngine):

@@ -25,10 +25,10 @@ the style of Orca's continuous batching:
   link entirely.
 
 The scheduler is built from the same placement + per-iteration-simulation
-layers as the engine, and a one-member pass reduces exactly to the
-unbatched pass, so a one-request workload reproduces the engine's
-``run_request`` timeline *exactly* — the backward-compatibility contract the
-tests pin down to 1e-9.  Batched passes are costed by the roofline model
+layers as the engine, and both emit every pass through
+:meth:`~repro.serving.simulator.IterationSimulator.emit_stack_pass`, so a
+one-request workload reproduces the engine's ``run_request`` timeline
+*exactly* — the request-lifecycle contract the tests pin down to 1e-9.  Batched passes are costed by the roofline model
 over the whole batch (see DESIGN.md, "Batched rounds"): memory-bound decode
 ops are nearly free to batch, so throughput under load grows with the
 batch until the union of active experts dominates.

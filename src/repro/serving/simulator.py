@@ -1,25 +1,25 @@
 """Per-iteration simulation layer: one stack pass on an execution timeline.
 
 Second of the three serving layers (placement → per-iteration simulation →
-request lifecycle).  An :class:`IterationSimulator` walks one encoder pass or
-one decoder iteration for a given design, appending compute and copy ops to
-an :class:`~repro.system.timeline.ExecutionTimeline`.  It is deliberately
-stateless across calls so that a request scheduler can interleave iterations
-from *different* in-flight requests onto one shared timeline (continuous
-batching) — the per-request lifecycle state lives in the caller
-(:class:`~repro.serving.engine.ServingEngine` for the one-request-at-a-time
-path, :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` for the
-batched path).
+request lifecycle).  An :class:`IterationSimulator` emits one encoder pass or
+one decoder iteration for a given design as a columnar
+:class:`~repro.system.timeline.OpBatch` of compute and copy ops, which the
+caller commits to an :class:`~repro.system.timeline.ExecutionTimeline`.  It
+is deliberately stateless across calls so that a request scheduler can
+interleave passes from *different* in-flight requests onto one shared
+timeline (continuous batching) — the per-request lifecycle state lives in
+the caller (:class:`~repro.serving.engine.ServingEngine` for the
+one-request-at-a-time path,
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` for the
+batched path).  Both callers go through :meth:`IterationSimulator.emit_stack_pass`.
 
-The scheduler's rounds go through :meth:`IterationSimulator.emit_stack_pass`,
-which emits one pass shared by several requests (:class:`PassMember`): ops
-are costed over the summed query tokens, and each MoE block fetches and
-executes the union of the members' active experts.  A one-member pass emits
-exactly the ops of the unbatched walk.  Rounds also pass a
-:class:`SharedExpertRound`, the round's fetch ledger: an expert is migrated
-at most once per round, its slot is refcounted until its last planned user
-has executed, and a later pass that needs it depends on the original copy
-op.
+A pass is shared by one or more requests (:class:`PassMember`): ops are
+costed over the summed query tokens, and each MoE block fetches and executes
+the union of the members' active experts.  The scheduler's rounds also pass
+a :class:`SharedExpertRound`, the round's fetch ledger: an expert is
+migrated at most once per round, its slot is refcounted until its last
+planned user has executed, and a later pass that needs it depends on the
+original copy op.
 
 Expert-parallel replicas (a multi-device
 :class:`~repro.system.hardware.DeviceTopology`) additionally split every MoE
@@ -43,16 +43,14 @@ from ..core.pregate import PreGateSchedule
 from ..moe.configs import ModelConfig
 from ..system.hardware import SystemSpec
 from ..system.performance import GpuLatencyModel
-from ..system.timeline import (STREAM_CODE, ExecutionTimeline, OpBatch,
-                               Stream, TimelineOp, category_code)
+from ..system.timeline import STREAM_CODE, OpBatch, Stream, category_code
 from ..workloads.traces import IterationActivations
-from .metrics import BlockLatencyRecord, IterationResult
 from .placement import ModelPlacement
 
 #: Key identifying one migratable expert: (global block index, expert id).
 ExpertKey = Tuple[int, int]
 
-# Stream / category codes used by the columnar emission path.
+# Stream / category codes of the emitted op columns.
 _COMPUTE = STREAM_CODE[Stream.COMPUTE]
 _COPY = STREAM_CODE[Stream.COPY]
 _STAGE = STREAM_CODE[Stream.STAGE]
@@ -142,34 +140,38 @@ class SharedExpertRound:
         self._copy_ops.clear()
 
 
-@dataclass
-class StackPassResult:
-    """Outcome of simulating one stack traversal."""
+class BlockAnchors(NamedTuple):
+    """Batch indices of one MoE block's ops, read back after the commit.
 
-    records: List[BlockLatencyRecord] = field(default_factory=list)
-    first_op: Optional[TimelineOp] = None
-    last_op: Optional[TimelineOp] = None
-    #: Op ids the next op after this pass must depend on explicitly: the
-    #: final block's all-to-all combine when it landed off device 0's
-    #: compute lane (expert-parallel replicas only; empty single-GPU).
-    carry_deps: List[int] = field(default_factory=list)
+    They let the caller rebuild the block's
+    :class:`~repro.serving.metrics.BlockLatencyRecord` from the committed
+    op times: the block's latency runs from the end of its layer's
+    attention op (``input_index``) to the end of ``end_index``; a device's
+    exposed transfer time is how long its expert-execution op waited past
+    the last compute op before execution (``ready_index``) or, on a remote
+    device, past the token dispatch.
+    """
 
-    @property
-    def start(self) -> float:
-        return self.first_op.start if self.first_op is not None else 0.0
-
-    @property
-    def end(self) -> float:
-        return self.last_op.end if self.last_op is not None else 0.0
+    #: The layer's attention op: the block's input is ready at its end.
+    input_index: int
+    #: The last compute op emitted before expert execution.
+    ready_index: int
+    #: The all-to-all dispatch op, -1 if tokens stay on device 0.
+    dispatch_index: int
+    #: ``(device, index)`` of every expert-execution op, in device order.
+    exec_indices: Sequence[Tuple[int, int]]
+    #: The op that completes the block (execution, or the combine).
+    end_index: int
+    #: Experts the block executes (the members' union).
+    num_active_experts: int
 
 
 @dataclass
 class EmittedPass:
     """Batch-relative anchors of one stack pass emitted as columns.
 
-    The columnar counterpart of :class:`StackPassResult`: op *times* do
-    not exist until the owning timeline commits the batch, so the emission
-    returns indices into the batch — the scheduler reads
+    Op *times* do not exist until the owning timeline commits the batch, so
+    the emission returns indices into the batch — callers read
     ``starts[first_index]`` / ``ends[last_index]`` after the commit, for
     every member of the pass.
     """
@@ -181,6 +183,8 @@ class EmittedPass:
     #: Global op ids the request's next pass must depend on (trailing
     #: all-to-all combine; empty single-GPU and after a decoder iteration).
     carry_deps: List[int] = field(default_factory=list)
+    #: One entry per MoE block, in block order.
+    blocks: List[BlockAnchors] = field(default_factory=list)
 
 
 class PassMember(NamedTuple):
@@ -196,7 +200,7 @@ def union_activations(members: Sequence[PassMember]) -> IterationActivations:
     """Per-block union of the members' active experts, first-seen order.
 
     One member's activations are returned as they are, so a one-member
-    pass plans, fetches and releases exactly what the unbatched pass does.
+    pass plans, fetches and releases exactly that request's experts.
     """
     if len(members) == 1:
         return members[0].activations
@@ -210,18 +214,6 @@ def union_activations(members: Sequence[PassMember]) -> IterationActivations:
                     seen.setdefault(int(expert))
         union.append(list(seen))
     return union
-
-
-@dataclass
-class IterationOutcome:
-    """An :class:`IterationResult` plus the timeline anchors the scheduler needs."""
-
-    result: IterationResult
-    first_start: float
-    end: float
-    #: Cross-lane ordering the request's *next* stack pass must declare
-    #: (a trailing all-to-all combine; empty for single-GPU replicas).
-    carry_deps: List[int] = field(default_factory=list)
 
 
 class IterationSimulator:
@@ -248,7 +240,7 @@ class IterationSimulator:
         #: object instead of re-running the planner every round.
         self._plan_cache: Dict[Tuple, MigrationPlan] = {}
         #: Memoised op durations keyed by (kind, token counts).  The latency
-        #: model is a pure function of these, so the batched emission path
+        #: model is a pure function of these, so the emission path
         #: skips the roofline arithmetic for the (ubiquitous) repeated
         #: shapes of steady decode rounds.  Keys are bounded by the distinct
         #: token counts a workload produces.
@@ -263,7 +255,7 @@ class IterationSimulator:
         return self.design != "gpu_only"
 
     # ------------------------------------------------------------------
-    # Memoised latency lookups (batched emission path)
+    # Memoised latency lookups
     # ------------------------------------------------------------------
     def _nonmoe_duration(self, part: str, query_tokens: int,
                          self_kv_tokens: int, cross_kv_tokens: int) -> float:
@@ -355,360 +347,7 @@ class IterationSimulator:
         return 1
 
     # ------------------------------------------------------------------
-    # Core simulation of one stack traversal
-    # ------------------------------------------------------------------
-    def simulate_stack_pass(
-        self,
-        timeline: ExecutionTimeline,
-        part: str,
-        iteration: int,
-        activations: IterationActivations,
-        query_tokens: int,
-        self_kv_tokens: int,
-        cross_kv_tokens: Optional[int],
-        start_at: float = 0.0,
-        batch_round: Optional[SharedExpertRound] = None,
-        label: str = "",
-        plan: Optional[MigrationPlan] = None,
-        extra_deps: Optional[Sequence[int]] = None,
-    ) -> StackPassResult:
-        """Walk one stack (encoder pass or one decoder iteration).
-
-        Ops are appended to ``timeline``; the compute stream is FIFO so
-        consecutive layers serialise automatically, while expert transfers
-        land on the copy stream with explicit dependencies implementing each
-        design's selection→migration→execution ordering.  ``start_at`` gates
-        the pass on the owning request's arrival time; ``batch_round``
-        enables cross-request expert-transfer dedup; ``label`` prefixes op
-        names so interleaved requests stay distinguishable in traces;
-        ``plan`` supplies a precomputed migration plan (the scheduler already
-        planned each round member for dedup registration) instead of
-        re-planning here; ``extra_deps`` are op ids this pass's first compute
-        op must wait for (the same request's trailing combine from its
-        previous pass on an expert-parallel replica).
-        """
-        config = self.config
-        placement = self.placement
-        moe_positions = placement.moe_positions(part)
-        num_layers = (config.num_encoder_layers if part == "encoder"
-                      else config.num_decoder_layers)
-        num_blocks = len(moe_positions)
-        outcome = StackPassResult()
-
-        if plan is None:
-            plan = self.make_plan(part, activations)
-        transfers_by_issue = plan.by_issue_block()
-
-        schedule = None
-        if self.design == "pregated" and num_blocks > 0:
-            schedule = PreGateSchedule(num_blocks=num_blocks,
-                                       activation_level=self.activation_level)
-
-        gate_time = self.latency.gate_time(config, query_tokens)
-        #: Per-target-block list of (op_id, owning device) for issued fetches.
-        transfer_ops_by_target: Dict[int, List[Tuple[int, int]]] = {}
-        allocation_tags: Dict[int, List[str]] = {}
-        last_compute_op: Optional[TimelineOp] = None
-        moe_block_cursor = 0
-        #: Cross-lane ordering the next device-0 compute op must declare:
-        #: the previous MoE block's combine op (expert-parallel only), seeded
-        #: with the caller's carry-over from the request's previous pass.
-        carry_deps: List[int] = list(extra_deps or [])
-
-        def add_compute(name: str, duration: float, depends_on=None,
-                        category: str = "compute") -> TimelineOp:
-            deps = list(depends_on or [])
-            if carry_deps:
-                deps.extend(carry_deps)
-                carry_deps.clear()
-            op = timeline.add_compute(
-                f"{label}{name}", duration, depends_on=deps, category=category,
-                earliest_start=start_at if outcome.first_op is None else 0.0)
-            if outcome.first_op is None:
-                outcome.first_op = op
-            outcome.last_op = op
-            return op
-
-        for layer in range(num_layers):
-            # --- non-MoE portion of the transformer block -------------
-            if part == "encoder":
-                nonmoe = self.latency.encoder_layer_nonmoe_time(config, query_tokens)
-            else:
-                nonmoe = self.latency.decoder_layer_nonmoe_time(
-                    config, query_tokens, self_kv_tokens, cross_kv_tokens or self_kv_tokens)
-            last_compute_op = add_compute(
-                f"{part}{iteration}.layer{layer}.attention", nonmoe, category="non_moe")
-
-            if layer not in moe_positions:
-                # Dense FFN layer.
-                ffn = self.latency.ffn_time(config, query_tokens)
-                last_compute_op = add_compute(
-                    f"{part}{iteration}.layer{layer}.ffn", ffn, category="non_moe")
-                continue
-
-            # --- MoE block --------------------------------------------
-            block = moe_block_cursor
-            moe_block_cursor += 1
-            input_ready = last_compute_op.end if last_compute_op else 0.0
-
-            # (1) Expert-selection stage: gate / pre-gate / first-gate ops.
-            num_gates = self._gates_evaluated_at(block, schedule)
-            if num_gates > 0:
-                last_compute_op = add_compute(
-                    f"{part}{iteration}.moe{block}.gate", num_gates * gate_time,
-                    category="gate")
-
-            # (2) Issue expert migrations whose selection happened here.
-            issued = transfers_by_issue.get(block, [])
-            if issued and self.offloads_experts:
-                to_issue = []
-                for transfer in issued:
-                    key = (placement.global_block_index(part, transfer.block_index),
-                           transfer.expert_id)
-                    if batch_round is not None and batch_round.is_fetched(key):
-                        # Already satisfied: fetched by another request of this
-                        # round (share the migration, depend on its copy op) or
-                        # resident in the shared cache (no dependency needed).
-                        dedup_op = batch_round.copy_op(key)
-                        if dedup_op is not None:
-                            transfer_ops_by_target.setdefault(
-                                transfer.block_index, []).append(
-                                    (dedup_op, placement.owner_device(transfer.expert_id)))
-                        continue
-                    to_issue.append((transfer, key))
-                if to_issue:
-                    sync_op = add_compute(
-                        f"{part}{iteration}.moe{block}.issue_transfers",
-                        self.system.host_sync_overhead, category="sync")
-                    last_compute_op = sync_op
-                    for transfer, key in to_issue:
-                        # The placement routes the fetch through the tier
-                        # path: a stage miss with a DRAM stage splits into an
-                        # SSD→DRAM read on the stage stream plus a dependent
-                        # PCIe op carrying the pipelined remainder.  The
-                        # route's device is the shard owning the expert; its
-                        # copy/stage lanes carry the fetch.
-                        route = placement.route_fetch(key, transfer)
-                        base = (f"{label}{part}{iteration}"
-                                f".moe{transfer.block_index}")
-                        deps = [sync_op.op_id]
-                        if route.stage_duration > 0.0:
-                            stage_op = timeline.add_stage(
-                                f"{base}.stage_expert{transfer.expert_id}",
-                                route.stage_duration, depends_on=deps,
-                                device=route.device, num_bytes=transfer.bytes)
-                            deps = [stage_op.op_id]
-                        copy_op = timeline.add_copy(
-                            f"{base}.fetch_expert{transfer.expert_id}",
-                            route.copy_duration, depends_on=deps,
-                            category="expert_transfer", device=route.device,
-                            num_bytes=transfer.bytes)
-                        transfer_ops_by_target.setdefault(
-                            transfer.block_index, []).append(
-                                (copy_op.op_id, route.device))
-                        if batch_round is not None:
-                            batch_round.fetch(placement, part, transfer, key,
-                                              copy_op.op_id)
-                        else:
-                            tag = placement.allocate_expert(
-                                part, transfer.block_index, transfer.expert_id)
-                            allocation_tags.setdefault(transfer.block_index, []).append(tag)
-
-            # (3) Expert-execution stage: waits for this block's transfers.
-            activated = activations[block] if block < len(activations) else []
-            block_transfer_ops = transfer_ops_by_target.get(block, [])
-            ready_before_exec = last_compute_op.end if last_compute_op else 0.0
-            if not self.multi_device:
-                num_active = max(1, len(activated))
-                exec_time = self.latency.expert_execution_time(
-                    config, query_tokens, num_active)
-                exec_op = add_compute(
-                    f"{part}{iteration}.moe{block}.experts", exec_time,
-                    depends_on=[op_id for op_id, _ in block_transfer_ops],
-                    category="expert_execution")
-                last_compute_op = exec_op
-                block_end = exec_op
-                exposed = max(0.0, exec_op.start - ready_before_exec)
-            else:
-                block_end, device0_exec, exposed = self._execute_sharded_block(
-                    timeline, part, iteration, block, activated, query_tokens,
-                    block_transfer_ops, last_compute_op, carry_deps, label)
-                if device0_exec is not None:
-                    last_compute_op = device0_exec
-                outcome.last_op = block_end
-
-            outcome.records.append(BlockLatencyRecord(
-                part=part, iteration=iteration, block_index=block,
-                latency=block_end.end - input_ready,
-                num_active_experts=len(activated),
-                exposed_transfer_time=exposed))
-
-            # (4) Release (or retain) this block's experts.
-            if batch_round is not None:
-                for key in batch_round.release_keys(placement, part, plan,
-                                                    activations, block):
-                    batch_round.release(placement, key)
-            else:
-                placement.release_block_experts(
-                    part, block, allocation_tags.get(block, []), activated)
-
-        outcome.carry_deps = list(carry_deps)
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Expert-parallel block execution
-    # ------------------------------------------------------------------
-    def _execute_sharded_block(self, timeline: ExecutionTimeline, part: str,
-                               iteration: int, block: int,
-                               activated, query_tokens: int,
-                               block_transfer_ops: List[Tuple[int, int]],
-                               last_compute_op: Optional[TimelineOp],
-                               carry_deps: List[int],
-                               label: str) -> Tuple[TimelineOp, Optional[TimelineOp], float]:
-        """Execute one MoE block across the devices owning its experts.
-
-        Tokens are dispatched from device 0 (where the gate ran) to every
-        remote device owning activated experts, each participating device
-        executes its share on its own compute lane, and the results combine
-        back — dispatch and combine are transfers on the interconnect
-        stream, sized from the activation counts, so they overlap with the
-        expert fetches in flight on the copy lanes.  Returns the op that
-        completes the block, device 0's exec op (``None`` when device 0
-        owns no activated expert) and the block's exposed transfer time —
-        the worst per-device stall between compute-side readiness (the
-        gate, or token arrival via dispatch for remote devices) and expert
-        execution, i.e. migration latency left unhidden, mirroring the
-        single-GPU definition.  Appends cross-lane ordering for the next
-        compute op to ``carry_deps``.
-        """
-        config = self.config
-        placement = self.placement
-        counts: Dict[int, int] = {}
-        for expert in activated:
-            device = placement.owner_device(int(expert))
-            counts[device] = counts.get(device, 0) + 1
-        if not counts:
-            # No activated expert recorded: the dispatch-overhead-only
-            # evaluation runs on device 0, mirroring the single-GPU path.
-            counts = {0: 0}
-        total_active = max(1, len(activated))
-        # Token routing estimate from the gating activations: query_tokens
-        # tokens each pick top_k experts, spread evenly over the activated
-        # set; assignments landing on remote devices cross the interconnect
-        # (once to dispatch, once to combine).
-        token_assignments = query_tokens * config.top_k
-        remote_share = sum(n for d, n in counts.items() if d != 0) / total_active
-        alltoall_bytes = token_assignments * remote_share * self._token_bytes
-        base = f"{label}{part}{iteration}.moe{block}"
-        participating = set(counts)
-        leftover_deps = [op_id for op_id, dev in block_transfer_ops
-                         if dev not in participating]
-
-        dispatch_op = None
-        if alltoall_bytes > 0:
-            gate_deps = [last_compute_op.op_id] if last_compute_op is not None else []
-            dispatch_op = timeline.add_interconnect(
-                f"{base}.dispatch", self.topology.all_to_all_time(alltoall_bytes),
-                depends_on=gate_deps, num_bytes=alltoall_bytes)
-            placement.record_alltoall(alltoall_bytes)
-
-        exec_ops: List[TimelineOp] = []
-        device0_exec: Optional[TimelineOp] = None
-        gate_ready = last_compute_op.end if last_compute_op is not None else 0.0
-        exposed = 0.0
-        for device in sorted(counts):
-            exec_time = self.latency.expert_execution_time(
-                config, query_tokens, max(1, counts[device]))
-            deps = [op_id for op_id, dev in block_transfer_ops if dev == device]
-            if device != 0 and dispatch_op is not None:
-                deps.append(dispatch_op.op_id)
-            if device == 0 and dispatch_op is None:
-                # Sole-device block: adopt the transfers of non-participating
-                # shards too, matching the single-GPU "execution waits for
-                # every one of the block's transfers" semantics.
-                deps.extend(leftover_deps)
-                leftover_deps = []
-            op = timeline.add_compute(
-                f"{base}.experts", exec_time, depends_on=deps,
-                category="expert_execution", device=device)
-            exec_ops.append(op)
-            # The device is compute-ready once the gate has run and (for
-            # remote shards) its tokens have arrived; any further wait is a
-            # stall on expert fetches — exposed migration latency.
-            ready = gate_ready
-            if device != 0 and dispatch_op is not None:
-                ready = max(ready, dispatch_op.end)
-            exposed = max(exposed, op.start - ready)
-            if device == 0:
-                device0_exec = op
-        exposed = max(0.0, exposed)
-
-        if dispatch_op is None:
-            return exec_ops[0], device0_exec, exposed
-        combine_op = timeline.add_interconnect(
-            f"{base}.combine", self.topology.all_to_all_time(alltoall_bytes),
-            depends_on=[op.op_id for op in exec_ops] + leftover_deps,
-            num_bytes=alltoall_bytes)
-        placement.record_alltoall(alltoall_bytes)
-        carry_deps.append(combine_op.op_id)
-        return combine_op, device0_exec, exposed
-
-    # ------------------------------------------------------------------
-    # Whole-iteration helpers shared by the engine and the scheduler
-    # ------------------------------------------------------------------
-    def decoder_iteration(self, timeline: ExecutionTimeline,
-                          activations: IterationActivations,
-                          query_tokens: int = 1, self_kv_tokens: int = 1,
-                          cross_kv_tokens: int = 32, iteration: int = 0,
-                          start_at: float = 0.0,
-                          batch_round: Optional[SharedExpertRound] = None,
-                          label: str = "",
-                          plan: Optional[MigrationPlan] = None,
-                          extra_deps: Optional[Sequence[int]] = None) -> IterationOutcome:
-        """One decoder iteration (all decoder layers plus the LM head)."""
-        start = timeline.makespan
-        pass_result = self.simulate_stack_pass(
-            timeline, "decoder", iteration, activations,
-            query_tokens=query_tokens, self_kv_tokens=self_kv_tokens,
-            cross_kv_tokens=cross_kv_tokens, start_at=start_at,
-            batch_round=batch_round, label=label, plan=plan,
-            extra_deps=extra_deps)
-        lm_head = self.latency.lm_head_time(self.config, query_tokens)
-        # The LM head consumes any trailing combine of the final MoE block.
-        lm_op = timeline.add_compute(
-            f"{label}decoder{iteration}.lm_head", lm_head, category="non_moe",
-            depends_on=pass_result.carry_deps,
-            earliest_start=start_at if pass_result.first_op is None else 0.0)
-        result = IterationResult(part="decoder", iteration=iteration,
-                                 duration=timeline.makespan - start,
-                                 block_latencies=pass_result.records)
-        first = pass_result.first_op.start if pass_result.first_op is not None else lm_op.start
-        return IterationOutcome(result=result, first_start=first, end=lm_op.end)
-
-    def encoder_pass(self, timeline: ExecutionTimeline,
-                     activations: IterationActivations, input_tokens: int,
-                     start_at: float = 0.0,
-                     batch_round: Optional[SharedExpertRound] = None,
-                     label: str = "",
-                     plan: Optional[MigrationPlan] = None,
-                     extra_deps: Optional[Sequence[int]] = None) -> IterationOutcome:
-        """The encoder pass over ``input_tokens`` tokens."""
-        start = timeline.makespan
-        pass_result = self.simulate_stack_pass(
-            timeline, "encoder", 0, activations,
-            query_tokens=input_tokens, self_kv_tokens=input_tokens,
-            cross_kv_tokens=None, start_at=start_at,
-            batch_round=batch_round, label=label, plan=plan,
-            extra_deps=extra_deps)
-        result = IterationResult(part="encoder", iteration=0,
-                                 duration=timeline.makespan - start,
-                                 block_latencies=pass_result.records)
-        return IterationOutcome(result=result, first_start=pass_result.start,
-                                end=pass_result.end,
-                                carry_deps=list(pass_result.carry_deps))
-
-    # ------------------------------------------------------------------
-    # Columnar emission (the scheduler's round path)
+    # Stack-pass emission
     # ------------------------------------------------------------------
     def pass_nonmoe_duration(self, part: str,
                              members: Sequence[PassMember]) -> float:
@@ -799,16 +438,25 @@ class IterationSimulator:
     ) -> EmittedPass:
         """Emit one stack pass shared by ``members`` as columns into ``batch``.
 
-        The batched twin of :meth:`simulate_stack_pass`: one op per layer
-        step for the whole batch.  Non-MoE, FFN and gate ops run over the
-        summed query tokens (attention sums each member's KV traffic); each
-        MoE block fetches and executes the union of the members' active
-        experts (``activations``, :func:`union_activations` by default),
-        planned by one ``plan``.  With one member the pass emits *exactly*
-        the ops :meth:`simulate_stack_pass` adds — same order, durations,
-        dependencies, categories, devices and bytes.  Placement side effects
-        (fetch routing, shared-slot allocation, transfer stats) happen here;
-        op times exist only once the owning timeline commits the batch.
+        One op per layer step for the whole batch: the compute stream is
+        FIFO, so consecutive layers serialise, while expert transfers land
+        on the copy (and stage) lanes with explicit dependencies
+        implementing each design's selection→migration→execution ordering.
+        Non-MoE, FFN and gate ops run over the summed query tokens
+        (attention sums each member's KV traffic); each MoE block fetches
+        and executes the union of the members' active experts
+        (``activations``, :func:`union_activations` by default), planned by
+        one ``plan`` (:meth:`make_plan` of the union by default).
+
+        ``start_at`` gates the pass's first op on the members' arrival;
+        ``batch_round`` enables cross-request expert-transfer dedup (without
+        one, the pass allocates and releases its own expert slots);
+        ``extra_deps`` are op ids the first compute op must wait for (the
+        same request's trailing combine from its previous pass on an
+        expert-parallel replica).  Placement side effects (fetch routing,
+        slot allocation, transfer stats) happen here; op times exist only
+        once the owning timeline commits the batch, and
+        :attr:`EmittedPass.blocks` locates each MoE block's ops in it.
         ``iteration`` and ``label`` only name ops (trace mode).
         """
         config = self.config
@@ -871,6 +519,8 @@ class IterationSimulator:
             # --- MoE block --------------------------------------------
             block = moe_block_cursor
             moe_block_cursor += 1
+            input_index = last_compute_id - base_id
+            activated = activations[block] if block < len(activations) else ()
 
             num_gates = self._gates_evaluated_at(block, schedule)
             if num_gates > 0:
@@ -935,6 +585,7 @@ class IterationSimulator:
 
             load, alltoall_bytes = self._block_expert_load(members, block)
             block_transfer_ops = transfer_ops_by_target.get(block, [])
+            ready_index = last_compute_id - base_id
             if not self.multi_device:
                 tokens = (load[0].values() if load
                           else (float(query_tokens),))
@@ -943,21 +594,26 @@ class IterationSimulator:
                     if names else None, self._exec_duration(tokens),
                     deps=[op_id for op_id, _ in block_transfer_ops],
                     category=CAT_EXPERT_EXECUTION)
+                end_index = last_compute_id - base_id
+                dispatch_index, exec_indices = -1, ((0, end_index),)
             else:
-                block_end_id, device0_exec_id = self._emit_sharded_block(
+                (end_index, device0_exec_id, dispatch_index,
+                 exec_indices) = self._emit_sharded_block(
                     batch, part, iteration, block, load, alltoall_bytes,
                     query_tokens, block_transfer_ops, last_compute_id,
                     carry_deps, label)
                 if device0_exec_id >= 0:
                     last_compute_id = device0_exec_id
-                emitted.last_index = block_end_id - base_id
+                emitted.last_index = end_index
+            emitted.blocks.append(BlockAnchors(
+                input_index, ready_index, dispatch_index, exec_indices,
+                end_index, len(activated)))
 
             if batch_round is not None:
                 for key in batch_round.release_keys(placement, part, plan,
                                                     activations, block):
                     batch_round.release(placement, key)
             else:
-                activated = activations[block] if block < len(activations) else []
                 placement.release_block_experts(
                     part, block, allocation_tags.get(block, []), activated)
 
@@ -969,14 +625,25 @@ class IterationSimulator:
                             alltoall_bytes: float, query_tokens: int,
                             block_transfer_ops: List[Tuple[int, int]],
                             last_compute_id: int, carry_deps: List[int],
-                            label: str) -> Tuple[int, int]:
-        """Batched twin of :meth:`_execute_sharded_block` (ids, not ops).
+                            label: str
+                            ) -> Tuple[int, int, int, List[Tuple[int, int]]]:
+        """Emit one MoE block across the devices owning its experts.
 
-        Each device executes its share of the union of active experts
-        (``load``, from :meth:`_block_expert_load`, with the block's
-        all-to-all bytes).
+        Tokens are dispatched from device 0 (where the gate ran) to every
+        remote device owning activated experts, each participating device
+        executes its share of the union of active experts (``load``, from
+        :meth:`_block_expert_load`, with the block's all-to-all bytes) on
+        its own compute lane, and the results combine back — dispatch and
+        combine are transfers on the interconnect stream, so they overlap
+        with the expert fetches in flight on the copy lanes.  Appends the
+        combine to ``carry_deps`` (the next compute op's cross-lane
+        ordering).  Returns, as batch indices, the op completing the
+        block, plus device 0's exec op id (-1 when device 0 executes
+        nothing), the dispatch index (-1 if none) and ``(device, index)``
+        of every exec op.
         """
         placement = self.placement
+        base_id = batch.base_id
         names = batch.record_names
         base = f"{label}{part}{iteration}.moe{block}" if names else None
         # No activated expert recorded: the dispatch-overhead-only
@@ -995,6 +662,7 @@ class IterationSimulator:
             placement.record_alltoall(alltoall_bytes)
 
         exec_ids: List[int] = []
+        exec_indices: List[Tuple[int, int]] = []
         device0_exec_id = -1
         for device in sorted(participating):
             tokens = participating[device]
@@ -1004,23 +672,28 @@ class IterationSimulator:
             if device != 0 and dispatch_id >= 0:
                 deps.append(dispatch_id)
             if device == 0 and dispatch_id < 0:
+                # Sole-device block: adopt the transfers of non-participating
+                # shards too — execution waits for every one of the block's
+                # transfers, as on a single GPU.
                 deps.extend(leftover_deps)
                 leftover_deps = []
             op_id = batch.add(_COMPUTE, exec_time, deps=deps,
                               category=CAT_EXPERT_EXECUTION, device=device,
                               name=f"{base}.experts" if names else None)
             exec_ids.append(op_id)
+            exec_indices.append((device, op_id - base_id))
             if device == 0:
                 device0_exec_id = op_id
         if dispatch_id < 0:
-            return exec_ids[0], device0_exec_id
+            return exec_ids[0] - base_id, device0_exec_id, -1, exec_indices
         combine_id = batch.add(
             _INTERCONNECT, self.topology.all_to_all_time(alltoall_bytes),
             deps=exec_ids + leftover_deps, category=CAT_ALLTOALL,
             num_bytes=alltoall_bytes, name=f"{base}.combine" if names else None)
         placement.record_alltoall(alltoall_bytes)
         carry_deps.append(combine_id)
-        return combine_id, device0_exec_id
+        return (combine_id - base_id, device0_exec_id, dispatch_id - base_id,
+                exec_indices)
 
     def emit_decoder_iteration(self, batch: OpBatch,
                                members: Sequence[PassMember],
@@ -1032,10 +705,11 @@ class IterationSimulator:
                                extra_deps: Optional[Sequence[int]] = None,
                                activations: Optional[IterationActivations] = None,
                                ) -> EmittedPass:
-        """Batched twin of :meth:`decoder_iteration` (pass + one LM head).
+        """One decoder iteration: the decoder stack pass plus one LM head.
 
-        The LM head runs once over every member's query tokens; its end is
-        each member's token time.
+        The LM head runs once over every member's query tokens, after any
+        trailing combine of the final MoE block; its end is each member's
+        token time.
         """
         emitted = self.emit_stack_pass(
             batch, "decoder", iteration, members, start_at=start_at,
@@ -1049,7 +723,8 @@ class IterationSimulator:
             if batch.record_names else None)
         lm_index = lm_id - batch.base_id
         first = emitted.first_index if emitted.first_index >= 0 else lm_index
-        return EmittedPass(first_index=first, last_index=lm_index)
+        return EmittedPass(first_index=first, last_index=lm_index,
+                           blocks=emitted.blocks)
 
     def emit_encoder_pass(self, batch: OpBatch,
                           members: Sequence[PassMember],
@@ -1060,7 +735,7 @@ class IterationSimulator:
                           extra_deps: Optional[Sequence[int]] = None,
                           activations: Optional[IterationActivations] = None,
                           ) -> EmittedPass:
-        """Batched twin of :meth:`encoder_pass` (one pass over every prompt)."""
+        """The encoder pass, one pass over every member's prompt tokens."""
         return self.emit_stack_pass(
             batch, "encoder", 0, members, start_at=start_at,
             batch_round=batch_round, label=label, plan=plan,

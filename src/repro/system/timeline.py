@@ -310,15 +310,6 @@ class ExecutionTimeline:
                         earliest_start=earliest_start, device=device,
                         num_bytes=num_bytes)
 
-    def add_stage(self, name: str, duration: float,
-                  depends_on: Optional[Sequence[int]] = None,
-                  category: str = "stage_in", earliest_start: float = 0.0,
-                  device: int = 0, num_bytes: float = 0.0) -> TimelineOp:
-        """Schedule an SSD→DRAM staging read on the stage copy stream."""
-        return self.add(name, Stream.STAGE, duration, depends_on, category,
-                        earliest_start=earliest_start, device=device,
-                        num_bytes=num_bytes)
-
     def add_interconnect(self, name: str, duration: float,
                          depends_on: Optional[Sequence[int]] = None,
                          category: str = "alltoall",
@@ -334,7 +325,7 @@ class ExecutionTimeline:
         """Start a columnar op batch whose ids continue this timeline's.
 
         The batch must be the *next* ops added (no interleaved :meth:`add`
-        calls) and is applied with :meth:`commit_batch` / :meth:`add_ops`.
+        calls) and is applied with :meth:`commit_batch`.
         """
         return OpBatch(self._next_op_id, self.record_trace)
 
@@ -368,10 +359,6 @@ class ExecutionTimeline:
             starts[i] = op.start
             ends[i] = op.end
         return starts, ends
-
-    def add_ops(self, batch: OpBatch) -> Tuple[np.ndarray, np.ndarray]:
-        """Alias of :meth:`commit_batch` (the batched ``add``)."""
-        return self.commit_batch(batch)
 
     # ------------------------------------------------------------------
     # Analytic fast-forward (round replay)

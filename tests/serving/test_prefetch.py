@@ -4,6 +4,7 @@ import pytest
 
 from repro.moe import get_config
 from repro.serving import CrossRequestPrefetcher, IterationSimulator, ModelPlacement
+from repro.serving.simulator import PassMember
 from repro.system.hardware import PAPER_SYSTEM
 from repro.system.performance import GpuLatencyModel
 from repro.system.timeline import ExecutionTimeline
@@ -28,6 +29,15 @@ def activations_for(seed=6):
         1, CONFIG.num_moe_blocks("decoder"))
 
 
+def run_decoder_iteration(simulator, timeline, activations, **kwargs):
+    """Emit one single-token decoder iteration and commit it to ``timeline``."""
+    batch = timeline.begin_batch()
+    simulator.emit_decoder_iteration(
+        batch, [PassMember(activations, query_tokens=1, self_kv_tokens=1,
+                           cross_kv_tokens=32)], **kwargs)
+    timeline.commit_batch(batch)
+
+
 class TestPrefetchRound:
     def test_identical_requests_share_one_fetch(self):
         placement, simulator, prefetcher = make_stack()
@@ -39,9 +49,9 @@ class TestPrefetchRound:
         for _ in range(3):
             batch_round.register_plan(placement, "decoder", plan, activations)
         for request_id in range(3):
-            simulator.decoder_iteration(timeline, activations,
-                                        batch_round=batch_round,
-                                        label=f"r{request_id}.")
+            run_decoder_iteration(simulator, timeline, activations,
+                                  batch_round=batch_round,
+                                  label=f"r{request_id}.")
         copies = timeline.ops_by_category("expert_transfer")
         unique = sum(len(block) for block in activations)
         assert len(copies) == unique               # one migration per expert
@@ -58,9 +68,9 @@ class TestPrefetchRound:
             batch_round = prefetcher.begin_round()
             plan = simulator.make_plan("decoder", activations)
             batch_round.register_plan(placement, "decoder", plan, activations)
-            simulator.decoder_iteration(timeline, activations,
-                                        batch_round=batch_round,
-                                        label=f"it{round_index}.", plan=plan)
+            run_decoder_iteration(simulator, timeline, activations,
+                                  batch_round=batch_round,
+                                  label=f"it{round_index}.", plan=plan)
             batch_round.drain(placement)
         unique = sum(len(block) for block in activations)
         copies = timeline.ops_by_category("expert_transfer")
@@ -96,8 +106,8 @@ class TestPrefetchRound:
         timeline = ExecutionTimeline()
         batch_round = prefetcher.begin_round()
         batch_round.register_plan(placement, "decoder", plan, activations)
-        simulator.decoder_iteration(timeline, activations,
-                                    batch_round=batch_round, plan=plan)
+        run_decoder_iteration(simulator, timeline, activations,
+                              batch_round=batch_round, plan=plan)
         batch_round.drain(placement)
         assert len(placement.residency) == 0
         assert placement.gpu_pool.category_usage("experts") == 0

@@ -166,6 +166,7 @@ class TestTransferDedup:
     def test_dedup_counts_copy_ops(self):
         """Op-level check through the simulator: one fetch per shared expert."""
         from repro.serving import IterationSimulator, ModelPlacement, SharedExpertRound
+        from repro.serving.simulator import PassMember
         from repro.system.hardware import PAPER_SYSTEM
         from repro.system.performance import GpuLatencyModel
 
@@ -182,10 +183,14 @@ class TestTransferDedup:
         plan = simulator.make_plan("decoder", activations)
         for _ in range(3):  # three requests with identical activations
             batch_round.register_plan(placement, "decoder", plan)
+        member = PassMember(activations, query_tokens=1, self_kv_tokens=1,
+                            cross_kv_tokens=32)
         for request_id in range(3):
-            simulator.decoder_iteration(timeline, activations,
-                                        batch_round=batch_round,
-                                        label=f"r{request_id}.")
+            batch = timeline.begin_batch()
+            simulator.emit_decoder_iteration(batch, [member],
+                                             batch_round=batch_round,
+                                             label=f"r{request_id}.")
+            timeline.commit_batch(batch)
         copies = timeline.ops_by_category("expert_transfer")
         assert len(copies) == sum(len(block) for block in activations)
         # All shared slots were refcounted down to zero and freed.
